@@ -1,6 +1,8 @@
 """Regenerate the golden CLI outputs under tests/golden/.
 
-Run after any intentional format change, then review the diff.
+Run after any intentional format change, then review the diff.  With file
+names as arguments (`python scripts/make_goldens.py bound_headline.csv`)
+only those goldens are written.
 """
 
 import os
@@ -23,14 +25,21 @@ CASES = {
     "sweep_small.csv": [
         "sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3", "--log",
     ],
+    "minimize_reflective.csv": ["minimize", "--x", "0.05"],
+    "bound_headline.csv": ["bound", "--x", "1", "--omega", "0.1"],
 }
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
+    unknown = set(names) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown golden(s): {', '.join(sorted(unknown))}")
     env = os.environ.copy()
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, args in CASES.items():
+        if names and name not in names:
+            continue
         out = subprocess.run(
             [sys.executable, "-m", "bsbound", *args],
             capture_output=True, text=True, env=env, check=True,
@@ -40,4 +49,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -16,8 +16,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import linewidth, optimizer, slab
 
 __all__ = ["main", "app", "build_parser"]
@@ -143,6 +141,8 @@ def cmd_sweep(args) -> int:
         return _fail("--points must be at least 2")
     if args.x_min <= 0:
         return _fail("--x-min must be positive")
+    import numpy as np  # only the grid needs it; keeps other subcommands light
+
     if args.log:
         grid = np.geomspace(args.x_min, args.x_max, args.points)
     else:
@@ -205,6 +205,17 @@ def cmd_bound(args) -> int:
     return 0 if extraction.feasible else 3
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float; argparse names the flag on rejection."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
@@ -222,26 +233,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("eval", help="slab response at one working point")
-    p.add_argument("--eps-s", dest="eps_s", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--thickness", type=float, required=True)
+    p.add_argument("--eps-s", dest="eps_s", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
+    p.add_argument("--omega", type=_finite, required=True)
+    p.add_argument("--thickness", type=_finite, required=True)
     p.add_argument("--allow-lossless", action="store_true")
     _add_io_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("minimize", help="minimal absorption at a splitting ratio")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=1e-3)
-    p.add_argument("--omega", type=float, default=1e-3)
-    p.add_argument("--eps-s-max", dest="eps_s_max", type=float, default=1e3)
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, default=1e-3)
+    p.add_argument("--omega", type=_finite, default=1e-3)
+    p.add_argument("--eps-s-max", dest="eps_s_max", type=_finite, default=1e3)
     p.add_argument("--refine-levels", dest="refine_levels", type=int, default=2)
     _add_io_flags(p)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("sweep", help="alpha and eps_s over a grid of ratios")
-    p.add_argument("--x-min", dest="x_min", type=float, required=True)
-    p.add_argument("--x-max", dest="x_max", type=float, required=True)
+    p.add_argument("--x-min", dest="x_min", type=_finite, required=True)
+    p.add_argument("--x-max", dest="x_max", type=_finite, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--log", action="store_true", help="logarithmic grid")
     p.add_argument("--jobs", type=int, default=_env_jobs())
@@ -249,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bound", help="minimal absorption probability chain")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--nvt", type=float, default=1e9)
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--omega", type=_finite, required=True)
+    p.add_argument("--nvt", type=_finite, default=1e9)
     _add_io_flags(p)
     p.set_defaults(func=cmd_bound)
 

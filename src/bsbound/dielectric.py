@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Resonance",
@@ -25,9 +27,6 @@ __all__ = [
     "low_frequency_approx",
     "superconvergence_residual",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
 
 class QuadratureError(RuntimeError):
     """Raised when sum-rule refinements fail to settle within tolerance."""
@@ -100,7 +99,10 @@ def susceptibility(
     strictly positive for omega > 0 whenever every gamma > 0, and exactly
     zero at omega = 0.
     """
-    if isinstance(omega, np.ndarray):
+    # an ndarray argument means numpy is loaded already; the scalar path
+    # never imports it
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(omega, np.ndarray):
         total = np.zeros(omega.shape, dtype=complex)
         for r in model.resonances:
             total += r.omega_p**2 / (r.omega_t**2 - omega**2 - 1j * r.gamma * omega)
@@ -152,25 +154,27 @@ def low_frequency_approx(model: DrudeLorentzModel, omega: float) -> ComplexIndex
     return ComplexIndex(eta, omega / (2.0 * eta) * weight)
 
 
-def _eta_minus_one(model: DrudeLorentzModel, omega: np.ndarray) -> np.ndarray:
-    return np.sqrt(1.0 + susceptibility(model, omega)).real - 1.0
-
-
-def _gauss_panel(model: DrudeLorentzModel, a: float, b: float, m: int) -> float:
-    """Composite 15-point Gauss-Legendre over m subintervals of [a, b].
+def _gauss_panel(
+    model: DrudeLorentzModel, a: float, b: float, m: int, rule: tuple
+) -> float:
+    """Composite Gauss-Legendre rule (nodes, weights) over m subintervals of [a, b].
 
     Subintervals are geometric when the panel spans more than a factor 4,
     so slowly decaying tails are resolved at constant relative width.
     """
+    import numpy as np
+
+    nodes, weights = rule
     if a > 0 and b / a > 4.0:
         edges = a * (b / a) ** (np.arange(m + 1) / m)
     else:
         edges = np.linspace(a, b, m + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    vals = _eta_minus_one(model, pts).reshape(m, -1)
-    return float(np.sum(half * (vals @ _GL_WEIGHTS)))
+    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    eta_minus_one = np.sqrt(1.0 + susceptibility(model, pts)).real - 1.0
+    vals = eta_minus_one.reshape(m, -1)
+    return float(np.sum(half * (vals @ weights)))
 
 
 def superconvergence_residual(
@@ -192,6 +196,9 @@ def superconvergence_residual(
     across panels).  Raises QuadratureError if a panel fails to settle
     before max_subdivisions.
     """
+    # the only numpy user on the library path; the optics never load it
+    import numpy as np
+
     if omega_max <= 0:
         raise ValueError(f"omega_max must be positive, got {omega_max}")
     if quadrature_points < 1:
@@ -203,13 +210,14 @@ def superconvergence_residual(
                 breaks.add(b)
     edges = sorted(breaks)
     panel_tol = tol / (len(edges) - 1)
+    rule = np.polynomial.legendre.leggauss(15)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         m = quadrature_points
-        prev = _gauss_panel(model, a, b, m)
+        prev = _gauss_panel(model, a, b, m, rule)
         while True:
             m *= 2
-            cur = _gauss_panel(model, a, b, m)
+            cur = _gauss_panel(model, a, b, m, rule)
             if abs(cur - prev) <= panel_tol:
                 break
             if m > max_subdivisions:

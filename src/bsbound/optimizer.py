@@ -16,10 +16,9 @@ the best bracket by golden section, separately per branch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
-
-from scipy.optimize import brentq
 
 from .slab import reflection, transmission, working_index
 
@@ -43,6 +42,9 @@ _BRANCHES = ("first", "second")
 # both ends, so any feasible target is bracketed against the valley
 _PHI_LO = 1e-12
 _PHI_HI = math.pi * (1.0 - 1e-12)
+
+# smallest relative tolerance brentq accepts: 4 ulp at 1.0
+_RTOL_MIN = 4 * sys.float_info.epsilon
 
 # default refinement ladder for alpha extraction
 DEFAULT_LEVELS: tuple[tuple[float, float], ...] = ((1e-3, 1e-3), (1e-4, 1e-4))
@@ -175,6 +177,84 @@ def _golden_min(
     return (c, fc, iters) if fc < fd else (d, fd, iters)
 
 
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float = 2e-12,
+    rtol: float = _RTOL_MIN,
+    maxiter: int = 100,
+) -> float:
+    """Root of f in [a, b] by Brent's method, as scipy.optimize.brentq.
+
+    A line-for-line port of scipy's brentq.c: the same steps in the same
+    floating-point order, so both return the same float for the same f.
+    f(a) and f(b) must differ in sign.  A NaN value of f raises ValueError;
+    no convergence within maxiter iterations raises RuntimeError.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _branch_roots(
     probe: _Probe, x_target: float, branches: Sequence[str]
 ) -> dict[str, float]:
@@ -262,6 +342,19 @@ def _scan_grid(lo: float, hi: float, points: int) -> list[float]:
     return [1.0 + (lo - 1.0) * ratio ** (k / (points - 1)) for k in range(points)]
 
 
+def _infeasible(scan_feasible: int, refine_iters: int, evals: int) -> MinimizeResult:
+    nan = math.nan
+    return MinimizeResult(
+        alpha=nan, eps_s_star=nan, d_star=nan, p_min=nan, phi_star=nan,
+        branch="none", feasible=False,
+        diagnostics=MinimizeDiagnostics(
+            constraint_residual=nan, scan_feasible=scan_feasible,
+            refine_iterations=refine_iters, slab_evaluations=evals,
+            rejected_branch_p=nan,
+        ),
+    )
+
+
 def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     """Minimum absorption over eps_s and thickness at a fixed ratio.
 
@@ -297,16 +390,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
                 best_idx[branch] = i
 
     if not best_idx:
-        nan = math.nan
-        return MinimizeResult(
-            alpha=nan, eps_s_star=nan, d_star=nan, p_min=nan, phi_star=nan,
-            branch="none", feasible=False,
-            diagnostics=MinimizeDiagnostics(
-                constraint_residual=nan, scan_feasible=0,
-                refine_iterations=0, slab_evaluations=evals,
-                rejected_branch_p=nan,
-            ),
-        )
+        return _infeasible(scan_feasible, 0, evals)
 
     refine_iters = 0
     candidates: dict[str, tuple[float, float]] = {}
@@ -330,16 +414,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
             candidates[branch] = (eps_star, p_star)
 
     if not candidates:
-        nan = math.nan
-        return MinimizeResult(
-            alpha=nan, eps_s_star=nan, d_star=nan, p_min=nan, phi_star=nan,
-            branch="none", feasible=False,
-            diagnostics=MinimizeDiagnostics(
-                constraint_residual=nan, scan_feasible=scan_feasible,
-                refine_iterations=refine_iters, slab_evaluations=evals,
-                rejected_branch_p=nan,
-            ),
-        )
+        return _infeasible(scan_feasible, refine_iters, evals)
 
     # branch selection: smaller p wins, ties go to the thinner slab (first)
     order = [b for b in _BRANCHES if b in candidates]

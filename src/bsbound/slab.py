@@ -66,6 +66,24 @@ class SlabResponse:
     x: float
 
 
+def _airy_factors(n: ComplexIndex) -> tuple[complex, ...]:
+    """Index-only factors of the Airy formulas below, built once per index.
+
+    Returns ((1+n)^2, (1-n)^2, 2i*n, 4n, i*(n-1), (n-1)/(n+1), i*(n+1)).
+    The index is frozen, so the tuple is kept in its instance dictionary,
+    beside its fields, the way functools.cached_property keeps a value.
+    """
+    cache = n.__dict__
+    factors = cache.get("_airy_factors")
+    if factors is None:
+        nc = n.as_complex
+        factors = cache["_airy_factors"] = (
+            (1 + nc) ** 2, (1 - nc) ** 2, 2j * nc, 4 * nc, 1j * (nc - 1),
+            (nc - 1) / (nc + 1), 1j * (nc + 1),
+        )
+    return factors
+
+
 def transmission(n: ComplexIndex, phase_arg: float) -> complex:
     """Transmission amplitude for vacuum phase phase_arg = omega*l/c."""
     if phase_arg < 0:
@@ -73,13 +91,13 @@ def transmission(n: ComplexIndex, phase_arg: float) -> complex:
     if phase_arg == 0.0:
         # zero thickness transmits exactly; the formula only reaches 1 to roundoff
         return complex(1.0, 0.0)
-    nc = n.as_complex
-    den = (1 + nc) ** 2 - (1 - nc) ** 2 * cmath.exp(2j * nc * phase_arg)
+    plus_sq, minus_sq, two_i_n, four_n, i_n_minus_1, _, _ = _airy_factors(n)
+    den = plus_sq - minus_sq * cmath.exp(two_i_n * phase_arg)
     if abs(den) == 0.0:
         raise DegenerateDenominatorError(
-            f"interference denominator vanished at n={nc}, phase={phase_arg}"
+            f"interference denominator vanished at n={n.as_complex}, phase={phase_arg}"
         )
-    return 4 * nc * cmath.exp(1j * (nc - 1) * phase_arg) / den
+    return four_n * cmath.exp(i_n_minus_1 * phase_arg) / den
 
 
 def reflection(n: ComplexIndex, phase_arg: float, t: complex) -> complex:
@@ -89,9 +107,9 @@ def reflection(n: ComplexIndex, phase_arg: float, t: complex) -> complex:
     |t|^2 + |r|^2 = 1 holds exactly at kappa = 0 (verified against the
     transfer-matrix oracle in the tests).
     """
-    nc = n.as_complex
-    return (nc - 1) / (nc + 1) * cmath.exp(-1j * phase_arg) * (
-        1 - t * cmath.exp(1j * (nc + 1) * phase_arg)
+    _, _, _, _, _, interface, i_n_plus_1 = _airy_factors(n)
+    return interface * cmath.exp(-1j * phase_arg) * (
+        1 - t * cmath.exp(i_n_plus_1 * phase_arg)
     )
 
 

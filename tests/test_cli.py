@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +158,48 @@ class TestBound:
         assert res.returncode == 3
 
 
+class TestNonFiniteInputs:
+    """Every float flag must be finite; the rejection names the flag."""
+
+    @pytest.mark.parametrize("args, flag", [
+        (["eval", "--eps-s", "inf", "--gamma", "1e-3", "--omega", "1e-3",
+          "--thickness", "500"], "--eps-s"),
+        (["eval", "--eps-s", "6.2", "--gamma", "1e-3", "--omega", "1e-3",
+          "--thickness", "inf"], "--thickness"),
+        (["eval", "--eps-s", "6.2", "--gamma", "nan", "--omega", "1e-3",
+          "--thickness", "500"], "--gamma"),
+        (["bound", "--x", "1", "--omega", "inf"], "--omega"),
+        (["sweep", "--x-min", "1", "--x-max", "inf", "--points", "3", "--log"],
+         "--x-max"),
+        (["minimize", "--x", "inf"], "--x"),
+    ])
+    def test_rejected_with_flag_named(self, run_cli, args, flag):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"argument {flag}: must be finite" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert "Warning" not in res.stderr
+
+    def test_unparsable_float_still_named(self, run_cli):
+        res = run_cli("minimize", "--x", "abc")
+        assert res.returncode == 2
+        assert "argument --x: invalid float value: 'abc'" in res.stderr
+
+
+class TestImports:
+    def test_cli_import_loads_neither_scipy_nor_numpy(self, cli_env):
+        code = (
+            "import sys, bsbound.cli\n"
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=cli_env, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestMisc:
     def test_constants_flag(self, run_cli):
         res = run_cli("--constants")
@@ -188,3 +232,11 @@ class TestGolden:
     def test_sweep_csv(self, run_cli):
         res = run_cli("sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3", "--log")
         assert res.stdout == (GOLDEN / "sweep_small.csv").read_text()
+
+    def test_minimize_reflective_csv(self, run_cli):
+        res = run_cli("minimize", "--x", "0.05")
+        assert res.stdout == (GOLDEN / "minimize_reflective.csv").read_text()
+
+    def test_bound_headline_csv(self, run_cli):
+        res = run_cli("bound", "--x", "1", "--omega", "0.1")
+        assert res.stdout == (GOLDEN / "bound_headline.csv").read_text()

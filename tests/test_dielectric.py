@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +70,17 @@ class TestSusceptibility:
         arr = susceptibility(MODEL, omegas)
         for w, v in zip(omegas, arr):
             assert complex(v) == pytest.approx(susceptibility(MODEL, float(w)), rel=1e-15)
+
+    def test_array_accepted_when_numpy_loads_after_the_package(self, cli_env):
+        code = (
+            "from bsbound.dielectric import DrudeLorentzModel, Resonance, susceptibility\n"
+            "import numpy as np\n"
+            "model = DrudeLorentzModel([Resonance(1.0, 1.0, 0.1)])\n"
+            "arr = susceptibility(model, np.array([0.3, 4.7]))\n"
+            "assert isinstance(arr, np.ndarray) and arr.shape == (2,)\n"
+            "assert complex(arr[1]) == susceptibility(model, 4.7)\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=cli_env)
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -51,6 +52,24 @@ class TestAmplitudes:
             assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
             assert abs(r - r_ref) <= 1e-12 * abs(r_ref)
             checked += 1
+
+    def test_cached_factors_give_the_inline_formulas_bit_for_bit(self):
+        # the Airy formulas written out with no per-index factors hoisted
+        def inline(n, phase):
+            nc = n.as_complex
+            den = (1 + nc) ** 2 - (1 - nc) ** 2 * cmath.exp(2j * nc * phase)
+            t = 4 * nc * cmath.exp(1j * (nc - 1) * phase) / den
+            r = (nc - 1) / (nc + 1) * cmath.exp(-1j * phase) * (
+                1 - t * cmath.exp(1j * (nc + 1) * phase)
+            )
+            return t, r
+
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = ComplexIndex(float(rng.uniform(1.0, 30.0)), float(10.0 ** rng.uniform(-9, -1)))
+            for phase in rng.uniform(1e-6, 5.0, size=4):
+                t = transmission(n, float(phase))
+                assert (t, reflection(n, float(phase), t)) == inline(n, float(phase))
 
     def test_negative_phase_rejected(self):
         with pytest.raises(ValueError):
