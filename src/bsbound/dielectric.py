@@ -74,7 +74,11 @@ class DrudeLorentzModel:
 
 @dataclass(frozen=True)
 class ComplexIndex:
-    """Refractive index n = eta + i*kappa on the physical branch."""
+    """Refractive index n = eta + i*kappa on the physical branch.
+
+    bsbound.slab keeps the index-only factors of its Airy formulas in the
+    instance dictionary, so the class must keep one (no __slots__).
+    """
 
     eta: float
     kappa: float

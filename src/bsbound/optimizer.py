@@ -16,7 +16,6 @@ the best bracket by golden section, separately per branch.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -43,8 +42,9 @@ _BRANCHES = ("first", "second")
 _PHI_LO = 1e-12
 _PHI_HI = math.pi * (1.0 - 1e-12)
 
-# smallest relative tolerance brentq accepts: 4 ulp at 1.0
-_RTOL_MIN = 4 * sys.float_info.epsilon
+# absolute and relative tolerances of the phase root solve
+_XTOL = 1e-15
+_RTOL = 8.9e-16
 
 # default refinement ladder for alpha extraction
 DEFAULT_LEVELS: tuple[tuple[float, float], ...] = ((1e-3, 1e-3), (1e-4, 1e-4))
@@ -181,22 +181,16 @@ def brentq(
     f: Callable[[float], float],
     a: float,
     b: float,
-    xtol: float = 2e-12,
-    rtol: float = _RTOL_MIN,
     maxiter: int = 100,
 ) -> float:
     """Root of f in [a, b] by Brent's method, as scipy.optimize.brentq.
 
-    A line-for-line port of scipy's brentq.c: the same steps in the same
-    floating-point order, so both return the same float for the same f.
-    f(a) and f(b) must differ in sign.  A NaN value of f raises ValueError;
-    no convergence within maxiter iterations raises RuntimeError.
+    A line-for-line port of scipy's brentq.c at xtol=_XTOL, rtol=_RTOL:
+    the same steps in the same floating-point order, so both return the
+    same float for the same f.  f(a) and f(b) must differ in sign.  A NaN
+    value of f raises ValueError; no convergence within maxiter iterations
+    raises RuntimeError.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL_MIN:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
-
     def call(x: float) -> float:
         fx = f(x)
         if math.isnan(fx):
@@ -222,7 +216,7 @@ def brentq(
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -287,7 +281,7 @@ def _branch_roots(
             continue
         if ha * hb > 0.0:
             continue  # target above this branch's reachable range
-        roots[branch] = brentq(h, a, b, xtol=1e-15, rtol=8.9e-16)
+        roots[branch] = brentq(h, a, b)
     return roots
 
 

@@ -71,7 +71,8 @@ def _airy_factors(n: ComplexIndex) -> tuple[complex, ...]:
 
     Returns ((1+n)^2, (1-n)^2, 2i*n, 4n, i*(n-1), (n-1)/(n+1), i*(n+1)).
     The index is frozen, so the tuple is kept in its instance dictionary,
-    beside its fields, the way functools.cached_property keeps a value.
+    beside its fields, the way functools.cached_property keeps a value
+    (ComplexIndex must therefore not use __slots__).
     """
     cache = n.__dict__
     factors = cache.get("_airy_factors")
