@@ -26,6 +26,8 @@ CASES = {
         "sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3", "--log",
     ],
     "minimize_reflective.csv": ["minimize", "--x", "0.05"],
+    "minimize_single_level.csv": ["minimize", "--x", "1", "--refine-levels", "1"],
+    "minimize_three_levels.csv": ["minimize", "--x", "1", "--refine-levels", "3"],
     "bound_headline.csv": ["bound", "--x", "1", "--omega", "0.1"],
 }
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -49,32 +48,18 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _env_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("BSB_JOBS", "1")))
-    except ValueError:
-        return 1
+def _minimize_with_levels(cfg: optimizer.MinimizeConfig, levels: int) -> tuple:
+    """(alpha, drift, final MinimizeResult, feasible) over `levels` ladder levels.
 
-
-def _levels(gamma: float, omega: float, count: int) -> list[tuple[float, float]]:
-    return [(gamma * 0.1**k, omega * 0.1**k) for k in range(count)]
-
-
-def _minimize_with_levels(args) -> tuple:
-    """(alpha, drift, final MinimizeResult) honoring --refine-levels."""
-    cfg = optimizer.MinimizeConfig(
-        x_target=args.x,
-        gamma_tilde=args.gamma,
-        omega_tilde=args.omega,
-        eps_s_range=(1.0 + 1e-6, args.eps_s_max),
-    )
-    if args.refine_levels == 1:
+    The ladder starts at cfg's working point; one level reports a NaN drift.
+    """
+    if levels == 1:
         res = optimizer.minimize_absorption(cfg)
-        return res.alpha, math.nan, res
+        return res.alpha, math.nan, res, res.feasible
     extraction = optimizer.extract_alpha(
-        args.x, _levels(args.gamma, args.omega, args.refine_levels), cfg
+        cfg.x_target, optimizer.ladder(cfg.gamma_tilde, cfg.omega_tilde, levels), cfg
     )
-    return extraction.alpha, extraction.drift, extraction.results[-1]
+    return extraction.alpha, extraction.drift, extraction.results[-1], extraction.feasible
 
 
 def cmd_eval(args) -> int:
@@ -111,7 +96,13 @@ def cmd_minimize(args) -> int:
     if args.refine_levels < 1:
         return _fail("--refine-levels must be at least 1")
     try:
-        alpha, drift, res = _minimize_with_levels(args)
+        cfg = optimizer.MinimizeConfig(
+            x_target=args.x,
+            gamma_tilde=args.gamma,
+            omega_tilde=args.omega,
+            eps_s_range=(1.0 + 1e-6, args.eps_s_max),
+        )
+        alpha, drift, res, _ = _minimize_with_levels(cfg, args.refine_levels)
     except ValueError as exc:
         return _fail(str(exc))
     record = [
@@ -139,6 +130,8 @@ def cmd_sweep(args) -> int:
         return _fail(f"--x-min must be below --x-max, got {args.x_min} >= {args.x_max}")
     if args.points < 2:
         return _fail("--points must be at least 2")
+    if args.jobs < 1:
+        return _fail("--jobs must be at least 1")
     if args.x_min <= 0:
         return _fail("--x-min must be positive")
     import numpy as np  # only the grid needs it; keeps other subcommands light
@@ -174,15 +167,16 @@ def cmd_bound(args) -> int:
             "validity range (recommended omega < 0.5)",
             file=sys.stderr,
         )
-    gamma_work, omega_work, refine_levels = 1e-3, 1e-3, 2
-    extraction = optimizer.extract_alpha(
-        args.x, _levels(gamma_work, omega_work, refine_levels)
+    gamma_work, omega_work = optimizer.DEFAULT_LEVELS[0]
+    refine_levels = len(optimizer.DEFAULT_LEVELS)
+    cfg = optimizer.MinimizeConfig(
+        x_target=args.x, gamma_tilde=gamma_work, omega_tilde=omega_work
     )
-    res = extraction.results[-1]
-    if extraction.feasible:
+    alpha, drift, res, feasible = _minimize_with_levels(cfg, refine_levels)
+    if feasible:
         ctx = linewidth.DecayContext(n_vt=args.nvt, eta=math.sqrt(res.eps_s_star))
         bound = linewidth.scaled_linewidth_bound(ctx, args.omega)
-        p_min = linewidth.min_absorption_probability(extraction.alpha, ctx, args.omega)
+        p_min = linewidth.min_absorption_probability(alpha, ctx, args.omega)
         eta = ctx.eta
     else:
         bound = p_min = eta = math.nan
@@ -193,16 +187,16 @@ def cmd_bound(args) -> int:
         ("gamma_work", gamma_work),
         ("omega_work", omega_work),
         ("refine_levels", refine_levels),
-        ("alpha", extraction.alpha),
-        ("alpha_drift", extraction.drift),
+        ("alpha", alpha),
+        ("alpha_drift", drift),
         ("eps_s", res.eps_s_star),
         ("eta", eta),
         ("linewidth_bound", bound),
         ("p_min", p_min),
-        ("feasible", extraction.feasible),
+        ("feasible", feasible),
     ]
     _emit([record], args.format, args.out)
-    return 0 if extraction.feasible else 3
+    return 0 if feasible else 3
 
 
 def _finite(text: str) -> float:
@@ -255,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", dest="x_max", type=_finite, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--log", action="store_true", help="logarithmic grid")
-    p.add_argument("--jobs", type=int, default=_env_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     _add_io_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .slab import reflection, transmission, working_index
 
@@ -31,6 +31,7 @@ __all__ = [
     "minimize_absorption",
     "extract_alpha",
     "sweep",
+    "ladder",
     "DEFAULT_LEVELS",
 ]
 
@@ -46,25 +47,42 @@ _PHI_HI = math.pi * (1.0 - 1e-12)
 _XTOL = 1e-15
 _RTOL = 8.9e-16
 
+# relative bracket width at which both golden-section searches stop
+_GOLDEN_RTOL = 1e-7
+# eps_s slices of the outer scan
+_SCAN_POINTS = 256
+# a later branch must undercut the earlier one's p by this fraction to win
+_OBJECTIVE_RTOL = 1e-8
+# inter-level alpha drift above which the separable scaling is not trusted
+_DRIFT_TOL = 0.01
+
+
+def ladder(
+    gamma_tilde: float, omega_tilde: float, count: int
+) -> tuple[tuple[float, float], ...]:
+    """Refinement ladder (gamma_tilde * 0.1**k, omega_tilde * 0.1**k), k < count."""
+    return tuple((gamma_tilde * 0.1**k, omega_tilde * 0.1**k) for k in range(count))
+
+
 # default refinement ladder for alpha extraction
-DEFAULT_LEVELS: tuple[tuple[float, float], ...] = ((1e-3, 1e-3), (1e-4, 1e-4))
+DEFAULT_LEVELS = ladder(1e-3, 1e-3, 2)
 
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Knobs of one constrained minimization."""
+    """Target ratio, working point and eps_s search range of one minimization."""
 
     x_target: float
     gamma_tilde: float = 1e-3
     omega_tilde: float = 1e-3
     eps_s_range: tuple[float, float] = (1.0 + 1e-6, 1e3)
-    branch_policy: str = "both"
-    scan_points: int = 256
-    constraint_rtol: float = 1e-10
-    objective_rtol: float = 1e-8
-    drift_tol: float = 0.01
+    # relative ratio residual the inner solve must reach at every root
+    constraint_rtol: ClassVar[float] = 1e-10
 
     def __post_init__(self) -> None:
+        values = (self.x_target, self.gamma_tilde, self.omega_tilde, *self.eps_s_range)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"values must be finite, got {self}")
         if not self.x_target > 0:
             raise ValueError(f"x_target must be positive, got {self.x_target}")
         if not 0 < self.gamma_tilde:
@@ -74,10 +92,6 @@ class MinimizeConfig:
         lo, hi = self.eps_s_range
         if not (1.0 < lo < hi):
             raise ValueError(f"eps_s_range must satisfy 1 < lo < hi, got {self.eps_s_range}")
-        if self.branch_policy not in ("both",) + _BRANCHES:
-            raise ValueError(f"unknown branch_policy {self.branch_policy!r}")
-        if self.scan_points < 16:
-            raise ValueError("scan_points must be at least 16")
 
 
 @dataclass(frozen=True)
@@ -157,14 +171,14 @@ class _Probe:
 
 
 def _golden_min(
-    f: Callable[[float], float], a: float, b: float, rel_tol: float
+    f: Callable[[float], float], a: float, b: float
 ) -> tuple[float, float, int]:
     """Golden-section minimum of f on [a, b]; returns (x, f(x), iterations)."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     iters = 0
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
+    while (b - a) > _GOLDEN_RTOL * max(abs(a), abs(b)):
         iters += 1
         if fc < fd:
             b, d, fd = d, c, fc
@@ -265,7 +279,7 @@ def _branch_roots(
     def h(phi: float) -> float:
         return ln_ratio(phi) - ln_xt
 
-    phi_valley, ln_x_valley, _ = _golden_min(ln_ratio, _PHI_LO, _PHI_HI, 1e-7)
+    phi_valley, ln_x_valley, _ = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
     if ln_x_valley > ln_xt:
         return {}
     roots: dict[str, float] = {}
@@ -301,6 +315,11 @@ def solve_thickness_for_ratio(
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    if not all(map(math.isfinite, (eps_s, x_target, gamma_tilde, omega_tilde))):
+        raise ValueError(
+            f"inputs must be finite, got eps_s={eps_s}, x_target={x_target}, "
+            f"gamma_tilde={gamma_tilde}, omega_tilde={omega_tilde}"
+        )
     if not eps_s > 1:
         raise ValueError(f"eps_s must exceed 1, got {eps_s}")
     if not x_target > 0:
@@ -313,9 +332,10 @@ def solve_thickness_for_ratio(
 
 
 def _constrained_p(
-    probe: _Probe, x_target: float, branches: Sequence[str], constraint_rtol: float
+    probe: _Probe, x_target: float, branches: Sequence[str]
 ) -> dict[str, tuple[float, float, float]]:
     """branch -> (phi, p, residual) at the constraint, checked against tolerance."""
+    constraint_rtol = MinimizeConfig.constraint_rtol
     out: dict[str, tuple[float, float, float]] = {}
     for branch, phi in _branch_roots(probe, x_target, branches).items():
         p, x = probe.response(phi)
@@ -354,12 +374,11 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
 
     Scans eps_s over config.eps_s_range (skipping slices that cannot reach
     x_target even without loss), golden-section refines the best bracket
-    per branch, and reports the better branch.  Ties within the objective
-    tolerance go to the thinner slab.
+    of each branch, and reports the better branch.  Ties within the
+    objective tolerance go to the thinner slab.
     """
-    branches = _BRANCHES if config.branch_policy == "both" else (config.branch_policy,)
     lo, hi = config.eps_s_range
-    grid = _scan_grid(lo, hi, config.scan_points)
+    grid = _scan_grid(lo, hi, _SCAN_POINTS)
     evals = 0
     scan_feasible = 0
 
@@ -374,7 +393,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         if surely_infeasible(eps):
             continue
         probe = _Probe(eps, config.gamma_tilde, config.omega_tilde)
-        sols = _constrained_p(probe, config.x_target, branches, config.constraint_rtol)
+        sols = _constrained_p(probe, config.x_target, _BRANCHES)
         evals += probe.evals
         if sols:
             scan_feasible += 1
@@ -388,7 +407,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
 
     refine_iters = 0
     candidates: dict[str, tuple[float, float]] = {}
-    for branch in branches:
+    for branch in _BRANCHES:
         if branch not in best_idx:
             continue
         i = best_idx[branch]
@@ -398,11 +417,11 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         def p_of_eps(eps: float, branch: str = branch) -> float:
             nonlocal evals
             probe = _Probe(eps, config.gamma_tilde, config.omega_tilde)
-            sols = _constrained_p(probe, config.x_target, (branch,), config.constraint_rtol)
+            sols = _constrained_p(probe, config.x_target, (branch,))
             evals += probe.evals
             return sols[branch][1] if branch in sols else math.inf
 
-        eps_star, p_star, iters = _golden_min(p_of_eps, a, b, 1e-7)
+        eps_star, p_star, iters = _golden_min(p_of_eps, a, b)
         refine_iters += iters
         if math.isfinite(p_star):
             candidates[branch] = (eps_star, p_star)
@@ -415,7 +434,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     chosen = order[0]
     for branch in order[1:]:
         p_c, p_b = candidates[chosen][1], candidates[branch][1]
-        if p_b < p_c * (1.0 - config.objective_rtol):
+        if p_b < p_c * (1.0 - _OBJECTIVE_RTOL):
             chosen = branch
     rejected_p = min(
         (candidates[b][1] for b in order if b != chosen), default=math.nan
@@ -423,9 +442,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
 
     eps_star = candidates[chosen][0]
     probe = _Probe(eps_star, config.gamma_tilde, config.omega_tilde)
-    phi, p_min, residual = _constrained_p(
-        probe, config.x_target, (chosen,), config.constraint_rtol
-    )[chosen]
+    phi, p_min, residual = _constrained_p(probe, config.x_target, (chosen,))[chosen]
     evals += probe.evals
     d_star = probe.d_of_phi(phi)
     # report the actual optical phase at the working frequency
@@ -456,8 +473,8 @@ def extract_alpha(
     """alpha from repeated minimization at shrinking (gamma, omega) levels.
 
     The inter-level relative drift of alpha is the error estimate; drift
-    above config.drift_tol flags a departure from the separable small-
-    parameter scaling.
+    above _DRIFT_TOL flags a departure from the separable small-parameter
+    scaling.
     """
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
@@ -481,44 +498,39 @@ def extract_alpha(
     return AlphaExtraction(
         alpha=results[-1].alpha,
         drift=drift,
-        scaling_ok=drift <= base.drift_tol,
+        scaling_ok=drift <= _DRIFT_TOL,
         feasible=True,
         results=results,
     )
 
 
-def _sweep_worker(args: tuple[float, MinimizeConfig]) -> SweepRow:
-    x, base = args
-    res = minimize_absorption(replace(base, x_target=x))
+def _sweep_worker(x: float) -> SweepRow:
+    res = minimize_absorption(MinimizeConfig(x_target=x))
     return SweepRow(
         x=x, alpha=res.alpha, eps_s_star=res.eps_s_star, d_star=res.d_star,
         p_min=res.p_min, feasible=res.feasible,
     )
 
 
-def sweep(
-    x_values: Sequence[float],
-    config: Optional[MinimizeConfig] = None,
-    jobs: int = 1,
-) -> tuple[SweepRow, ...]:
-    """One minimization per ratio; rows are independent and deterministic.
+def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
+    """One default minimization per ratio; rows are independent and deterministic.
 
     Per-row infeasibility is recorded in the row, never raised.  With
-    jobs > 1 rows are computed in a process pool; the output order and
-    content are identical regardless of jobs.
+    jobs > 1 rows are computed in a pool of at most jobs processes, one
+    per row at most; the output order and content are identical
+    regardless of jobs.
     """
     xs = [float(x) for x in x_values]
     if not xs:
         raise ValueError("x_values must be non-empty")
-    if any(x <= 0 for x in xs):
-        raise ValueError("x_values must all be positive")
-    base = config if config is not None else MinimizeConfig(x_target=1.0)
-    tasks = [(x, base) for x in xs]
-    if jobs > 1:
+    if not all(math.isfinite(x) and x > 0 for x in xs):
+        raise ValueError("x_values must all be finite and positive")
+    workers = min(jobs, len(xs))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_sweep_worker, tasks, chunksize=1)
+        with multiprocessing.Pool(workers) as pool:
+            rows = pool.map(_sweep_worker, xs, chunksize=1)
     else:
-        rows = [_sweep_worker(t) for t in tasks]
+        rows = [_sweep_worker(x) for x in xs]
     return tuple(rows)

@@ -42,6 +42,8 @@ class ScaledSlabParams:
     eps_s: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.omega_tilde, self.gamma_tilde, self.d, self.eps_s))):
+            raise ValueError(f"values must be finite, got {self}")
         if not self.omega_tilde > 0:
             raise ValueError(f"omega_tilde must be positive, got {self.omega_tilde}")
         if self.gamma_tilde < 0:

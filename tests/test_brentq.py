@@ -19,7 +19,7 @@ def branch_slices():
             def h(phi, probe=probe, ln_xt=ln_xt):
                 return math.log(probe.response(phi)[1]) - ln_xt
 
-            valley, _, _ = _golden_min(h, _PHI_LO, _PHI_HI, 1e-7)
+            valley, _, _ = _golden_min(h, _PHI_LO, _PHI_HI)
             for a, b in ((_PHI_LO, valley), (valley, _PHI_HI)):
                 if h(a) * h(b) < 0.0:
                     yield h, a, b

@@ -136,6 +136,12 @@ class TestSweep:
         res = run_cli("sweep", "--x-min", "2", "--x-max", "1", "--points", "3")
         assert res.returncode == 2
 
+    def test_jobs_below_one_rejected(self, run_cli):
+        res = run_cli("sweep", "--x-min", "1", "--x-max", "2", "--points", "2", "--jobs", "0")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--jobs" in res.stderr
+
 
 class TestBound:
     def test_headline_number(self, run_cli):
@@ -240,3 +246,11 @@ class TestGolden:
     def test_bound_headline_csv(self, run_cli):
         res = run_cli("bound", "--x", "1", "--omega", "0.1")
         assert res.stdout == (GOLDEN / "bound_headline.csv").read_text()
+
+    def test_minimize_single_level_csv(self, run_cli):
+        res = run_cli("minimize", "--x", "1", "--refine-levels", "1")
+        assert res.stdout == (GOLDEN / "minimize_single_level.csv").read_text()
+
+    def test_minimize_three_levels_csv(self, run_cli):
+        res = run_cli("minimize", "--x", "1", "--refine-levels", "3")
+        assert res.stdout == (GOLDEN / "minimize_three_levels.csv").read_text()

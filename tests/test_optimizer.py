@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from bsbound.optimizer import (
     sweep,
 )
 from bsbound.slab import ScaledSlabParams, evaluate
+
+INF, NAN = math.inf, math.nan
 
 
 def ratio_at(eps_s, d, gamma_tilde=1e-3, omega_tilde=1e-3):
@@ -146,8 +149,13 @@ class TestMinimize:
             MinimizeConfig(x_target=-1.0)
         with pytest.raises(ValueError):
             MinimizeConfig(x_target=1.0, eps_s_range=(0.5, 10.0))
-        with pytest.raises(ValueError):
-            MinimizeConfig(x_target=1.0, branch_policy="widest")
+
+    def test_fixed_constraint_tolerance(self):
+        cfg = MinimizeConfig(x_target=1.0)
+        assert cfg.constraint_rtol == 1e-10
+        assert [f.name for f in fields(cfg)] == [
+            "x_target", "gamma_tilde", "omega_tilde", "eps_s_range",
+        ]
 
 
 class TestExtractAlpha:
@@ -197,3 +205,47 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep([])
+
+    def test_pool_sized_by_rows(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items, chunksize=1):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        xs = [0.5, 1.0, 2.0]
+        assert sweep(xs, jobs=4) == sweep(xs, jobs=1)
+        assert sweep([1.0], jobs=4) == sweep([1.0])
+        assert sizes == [3]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ScaledSlabParams(1e-3, 1e-3, INF, 6.2),
+    lambda: ScaledSlabParams(1e-3, 1e-3, 500.0, INF),
+    lambda: ScaledSlabParams(NAN, 1e-3, 500.0, 6.2),
+    lambda: ScaledSlabParams(1e-3, INF, 500.0, 6.2),
+    lambda: MinimizeConfig(x_target=INF),
+    lambda: MinimizeConfig(x_target=NAN),
+    lambda: MinimizeConfig(x_target=1.0, gamma_tilde=INF),
+    lambda: MinimizeConfig(x_target=1.0, eps_s_range=(2.0, INF)),
+    lambda: solve_thickness_for_ratio(INF, 1.0),
+    lambda: solve_thickness_for_ratio(6.2, NAN),
+    lambda: solve_thickness_for_ratio(6.2, 1.0, omega_tilde=INF),
+    lambda: sweep([NAN]),
+    lambda: sweep([1.0, INF]),
+])
+def test_non_finite_inputs_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
