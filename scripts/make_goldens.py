@@ -1,10 +1,12 @@
-"""Regenerate the golden CLI outputs under tests/golden/.
+"""Regenerate the golden outputs under tests/golden/.
 
 Run after any intentional format change, then review the diff.  With file
 names as arguments (`python scripts/make_goldens.py bound_headline.csv`)
-only those goldens are written.
+only those goldens are written.  Besides the CLI outputs, SOLVER_GOLDEN
+pins the repr of every solver result field (see solver_reprs).
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -31,9 +33,49 @@ CASES = {
     "bound_headline.csv": ["bound", "--x", "1", "--omega", "0.1"],
 }
 
+SOLVER_GOLDEN = "solver_reprs.txt"
+# extract_alpha ratios; at the largest x a last-bit change of a phase root
+# moves alpha visibly, so every root of the solve is pinned
+ALPHA_X = (0.05, 1.0, 10.0, 1e3, 1e6, 8.175e6)
+# solve_thickness_for_ratio points, each on both branches
+THICKNESS_EPS_S = (1.5, 6.2, 80.0)
+THICKNESS_X = (0.05, 1.0, 30.0)
+
+
+def _field_lines(name: str, value: object):
+    """'name.field = repr' lines of a result, skipping the evaluation count."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            if field.name != "slab_evaluations":
+                yield from _field_lines(f"{name}.{field.name}", getattr(value, field.name))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _field_lines(f"{name}[{i}]", item)
+    else:
+        yield f"{name} = {value!r}"
+
+
+def solver_reprs() -> str:
+    """The repr of every solver result field but diagnostics.slab_evaluations.
+
+    The evaluation count is left out so that a change which saves
+    evaluations without moving a bit of the results keeps this golden.
+    """
+    from bsbound.optimizer import extract_alpha, solve_thickness_for_ratio
+
+    lines = []
+    for x in ALPHA_X:
+        lines += _field_lines(f"extract_alpha({x!r})", extract_alpha(x))
+    for eps_s in THICKNESS_EPS_S:
+        for x in THICKNESS_X:
+            for branch in ("first", "second"):
+                d = solve_thickness_for_ratio(eps_s, x, branch=branch)
+                lines.append(f"solve_thickness_for_ratio({eps_s!r}, {x!r}, {branch!r}) = {d!r}")
+    return "\n".join(lines) + "\n"
+
 
 def main(names: list[str]) -> None:
-    unknown = set(names) - set(CASES)
+    unknown = set(names) - set(CASES) - {SOLVER_GOLDEN}
     if unknown:
         sys.exit(f"unknown golden(s): {', '.join(sorted(unknown))}")
     env = os.environ.copy()
@@ -48,6 +90,10 @@ def main(names: list[str]) -> None:
         )
         (GOLDEN / name).write_text(out.stdout)
         print(f"wrote {GOLDEN / name}")
+    if not names or SOLVER_GOLDEN in names:
+        sys.path.insert(0, str(REPO / "src"))
+        (GOLDEN / SOLVER_GOLDEN).write_text(solver_reprs())
+        print(f"wrote {GOLDEN / SOLVER_GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -249,3 +249,18 @@ class TestSweep:
 def test_non_finite_inputs_rejected(call):
     with pytest.raises(ValueError, match="finite"):
         call()
+
+
+def test_solver_reprs_match_golden():
+    # scripts/make_goldens.py writes the golden and renders the same cases
+    import importlib.util
+
+    from conftest import GOLDEN, REPO
+
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", REPO / "scripts" / "make_goldens.py"
+    )
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    expected = (GOLDEN / make_goldens.SOLVER_GOLDEN).read_text()
+    assert make_goldens.solver_reprs() == expected
