@@ -10,7 +10,6 @@ infeasible constraint.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional, Sequence
@@ -34,6 +33,8 @@ def _emit(records: list, fmt: str, out: Optional[str]) -> None:
         lines = [",".join(keys)]
         lines += [",".join(_fmt(v) for _, v in rec) for rec in records]
     else:
+        import json  # only --format json needs it; keeps the cold start light
+
         lines = [json.dumps(dict(rec)) for rec in records]
     text = "\n".join(lines) + "\n"
     if out:
@@ -52,6 +53,8 @@ def _minimize_with_levels(cfg: optimizer.MinimizeConfig, levels: int) -> tuple:
     """(alpha, drift, final MinimizeResult, feasible) over `levels` ladder levels.
 
     The ladder starts at cfg's working point; one level reports a NaN drift.
+    A feasible ladder whose drift breaks the separable scaling gets a
+    warning on stderr.
     """
     if levels == 1:
         res = optimizer.minimize_absorption(cfg)
@@ -59,6 +62,13 @@ def _minimize_with_levels(cfg: optimizer.MinimizeConfig, levels: int) -> tuple:
     extraction = optimizer.extract_alpha(
         cfg.x_target, optimizer.ladder(cfg.gamma_tilde, cfg.omega_tilde, levels), cfg
     )
+    if extraction.feasible and not extraction.scaling_ok:
+        print(
+            f"warning: alpha_drift = {extraction.drift!r} exceeds "
+            f"{optimizer._DRIFT_TOL!r}; alpha does not scale as p/(gamma*omega) "
+            "at this working point",
+            file=sys.stderr,
+        )
     return extraction.alpha, extraction.drift, extraction.results[-1], extraction.feasible
 
 

@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Optional, Sequence
 
-from .slab import reflection, transmission, working_index
+from .slab import _airy_factors, _kernel, working_index
+# unused here, but bench/tracer.py patches these names in this module
+from .slab import reflection, transmission  # noqa: F401
 
 __all__ = [
     "MinimizeConfig",
@@ -152,19 +154,19 @@ class _Probe:
         self.omega_tilde = omega_tilde
         self.eta0 = math.sqrt(eps_s)
         self.index = working_index(eps_s, gamma_tilde, omega_tilde)
+        self.factors = _airy_factors(self.index)
         self.evals = 0
 
     def response(self, phi: float) -> tuple[float, float]:
         """(p, x) at optical phase phi = eta0 * omega_tilde * d."""
         self.evals += 1
-        phase = phi / self.eta0
-        t = transmission(self.index, phase)
-        r = reflection(self.index, phase, t)
-        t_sq = abs(t) ** 2
-        r_sq = abs(r) ** 2
-        p = 1.0 - t_sq - r_sq
-        x = t_sq / r_sq if r_sq > 0.0 else math.inf
+        _, _, p, x = _kernel(self.factors, phi / self.eta0)
         return p, x
+
+    def ln_ratio(self, phi: float) -> float:
+        """ln x at optical phase phi, the quantity the phase solve works on."""
+        self.evals += 1
+        return math.log(_kernel(self.factors, phi / self.eta0)[3])
 
     def d_of_phi(self, phi: float) -> float:
         return phi / (self.eta0 * self.omega_tilde)
@@ -191,30 +193,35 @@ def _golden_min(
     return (c, fc, iters) if fc < fd else (d, fd, iters)
 
 
+def _nan_value(x: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
 def brentq(
     f: Callable[[float], float],
     a: float,
     b: float,
     maxiter: int = 100,
+    fa: Optional[float] = None,
+    fb: Optional[float] = None,
 ) -> float:
     """Root of f in [a, b] by Brent's method, as scipy.optimize.brentq.
 
     A line-for-line port of scipy's brentq.c at xtol=_XTOL, rtol=_RTOL:
     the same steps in the same floating-point order, so both return the
-    same float for the same f.  f(a) and f(b) must differ in sign.  A NaN
-    value of f raises ValueError; no convergence within maxiter iterations
-    raises RuntimeError.
+    same float for the same f.  f(a) and f(b) must differ in sign; a
+    caller that already has them passes them as fa and fb, and f is not
+    called there.  A NaN value of f raises ValueError; no convergence
+    within maxiter iterations raises RuntimeError.
     """
-    def call(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
+    fpre = f(xpre) if fa is None else fa
+    if math.isnan(fpre):
+        raise _nan_value(xpre)
+    fcur = f(xcur) if fb is None else fb
+    if math.isnan(fcur):
+        raise _nan_value(xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -259,7 +266,9 @@ def brentq(
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise _nan_value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
@@ -272,9 +281,7 @@ def _branch_roots(
     (the valley of x(phi) stays above x_target).
     """
     ln_xt = math.log(x_target)
-
-    def ln_ratio(phi: float) -> float:
-        return math.log(probe.response(phi)[1])
+    ln_ratio = probe.ln_ratio
 
     def h(phi: float) -> float:
         return ln_ratio(phi) - ln_xt
@@ -282,11 +289,15 @@ def _branch_roots(
     phi_valley, ln_x_valley, _ = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
     if ln_x_valley > ln_xt:
         return {}
+    # each phase is evaluated once: h at the valley is known from the
+    # search, and the endpoint values are handed to brentq
+    h_valley = ln_x_valley - ln_xt
     roots: dict[str, float] = {}
-    intervals = {"first": (_PHI_LO, phi_valley), "second": (phi_valley, _PHI_HI)}
     for branch in branches:
-        a, b = intervals[branch]
-        ha, hb = h(a), h(b)
+        if branch == "first":
+            a, ha, b, hb = _PHI_LO, h(_PHI_LO), phi_valley, h_valley
+        else:
+            a, ha, b, hb = phi_valley, h_valley, _PHI_HI, h(_PHI_HI)
         if ha == 0.0:
             roots[branch] = a
             continue
@@ -295,7 +306,7 @@ def _branch_roots(
             continue
         if ha * hb > 0.0:
             continue  # target above this branch's reachable range
-        roots[branch] = brentq(h, a, b)
+        roots[branch] = brentq(h, a, b, fa=ha, fb=hb)
     return roots
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refractive_index
 
@@ -22,6 +23,9 @@ __all__ = [
     "working_index",
     "evaluate",
 ]
+
+# bound once: the kernel calls it four times per phase
+_exp = cmath.exp
 
 
 class DegenerateDenominatorError(ArithmeticError):
@@ -69,51 +73,65 @@ class SlabResponse:
 
 
 def _airy_factors(n: ComplexIndex) -> tuple[complex, ...]:
-    """Index-only factors of the Airy formulas below, built once per index.
+    """Index-only factors of the Airy formulas in _kernel, built once per index.
 
-    Returns ((1+n)^2, (1-n)^2, 2i*n, 4n, i*(n-1), (n-1)/(n+1), i*(n+1)).
-    The index is frozen, so the tuple is kept in its instance dictionary,
-    beside its fields, the way functools.cached_property keeps a value
-    (ComplexIndex must therefore not use __slots__).
+    Returns (n, (1+n)^2, (1-n)^2, 2i*n, 4n, i*(n-1), (n-1)/(n+1), i*(n+1))
+    with n as a complex number.  The index is frozen, so the tuple is kept
+    in its instance dictionary, beside its fields, the way
+    functools.cached_property keeps a value (ComplexIndex must therefore not
+    use __slots__).
     """
     cache = n.__dict__
     factors = cache.get("_airy_factors")
     if factors is None:
         nc = n.as_complex
         factors = cache["_airy_factors"] = (
-            (1 + nc) ** 2, (1 - nc) ** 2, 2j * nc, 4 * nc, 1j * (nc - 1),
+            nc, (1 + nc) ** 2, (1 - nc) ** 2, 2j * nc, 4 * nc, 1j * (nc - 1),
             (nc - 1) / (nc + 1), 1j * (nc + 1),
         )
     return factors
+
+
+def _kernel(
+    factors: tuple[complex, ...], phase_arg: float, t: Optional[complex] = None
+) -> tuple[complex, complex, float, float]:
+    """(t, r, p, x) of the slab at vacuum phase phase_arg = omega*l/c.
+
+    factors are _airy_factors of the index and phase_arg must be
+    non-negative.  A given t is taken as the transmission amplitude and
+    only the reflection is computed from it.  The bracket of r carries
+    phase (n+1)*phase_arg: the unique choice for which |t|^2 + |r|^2 = 1
+    holds exactly at kappa = 0 (verified against the transfer-matrix
+    oracle in the tests).
+    """
+    nc, plus_sq, minus_sq, two_i_n, four_n, i_n_minus_1, interface, i_n_plus_1 = factors
+    if t is None:
+        if phase_arg == 0.0:
+            # zero thickness transmits exactly; the formula only reaches 1 to roundoff
+            t = complex(1.0, 0.0)
+        else:
+            den = plus_sq - minus_sq * _exp(two_i_n * phase_arg)
+            if abs(den) == 0.0:
+                raise DegenerateDenominatorError(
+                    f"interference denominator vanished at n={nc}, phase={phase_arg}"
+                )
+            t = four_n * _exp(i_n_minus_1 * phase_arg) / den
+    r = interface * _exp(-1j * phase_arg) * (1 - t * _exp(i_n_plus_1 * phase_arg))
+    t_sq = abs(t) ** 2
+    r_sq = abs(r) ** 2
+    return t, r, 1.0 - t_sq - r_sq, t_sq / r_sq if r_sq > 0.0 else math.inf
 
 
 def transmission(n: ComplexIndex, phase_arg: float) -> complex:
     """Transmission amplitude for vacuum phase phase_arg = omega*l/c."""
     if phase_arg < 0:
         raise ValueError(f"phase_arg must be non-negative, got {phase_arg}")
-    if phase_arg == 0.0:
-        # zero thickness transmits exactly; the formula only reaches 1 to roundoff
-        return complex(1.0, 0.0)
-    plus_sq, minus_sq, two_i_n, four_n, i_n_minus_1, _, _ = _airy_factors(n)
-    den = plus_sq - minus_sq * cmath.exp(two_i_n * phase_arg)
-    if abs(den) == 0.0:
-        raise DegenerateDenominatorError(
-            f"interference denominator vanished at n={n.as_complex}, phase={phase_arg}"
-        )
-    return four_n * cmath.exp(i_n_minus_1 * phase_arg) / den
+    return _kernel(_airy_factors(n), phase_arg)[0]
 
 
 def reflection(n: ComplexIndex, phase_arg: float, t: complex) -> complex:
-    """Reflection amplitude given the matching transmission t.
-
-    The bracket carries phase (n+1)*phase_arg: the unique choice for which
-    |t|^2 + |r|^2 = 1 holds exactly at kappa = 0 (verified against the
-    transfer-matrix oracle in the tests).
-    """
-    _, _, _, _, _, interface, i_n_plus_1 = _airy_factors(n)
-    return interface * cmath.exp(-1j * phase_arg) * (
-        1 - t * cmath.exp(i_n_plus_1 * phase_arg)
-    )
+    """Reflection amplitude given the matching transmission t."""
+    return _kernel(_airy_factors(n), phase_arg, t)[1]
 
 
 def working_index(eps_s: float, gamma_tilde: float, omega_tilde: float) -> ComplexIndex:
@@ -132,10 +150,5 @@ def evaluate(params: ScaledSlabParams) -> SlabResponse:
     formulas at vacuum phase omega_tilde * d.
     """
     n = working_index(params.eps_s, params.gamma_tilde, params.omega_tilde)
-    t = transmission(n, params.omega_tilde * params.d)
-    r = reflection(n, params.omega_tilde * params.d, t)
-    t_sq = abs(t) ** 2
-    r_sq = abs(r) ** 2
-    p = 1.0 - t_sq - r_sq
-    x = t_sq / r_sq if r_sq > 0.0 else math.inf
+    t, r, p, x = _kernel(_airy_factors(n), params.omega_tilde * params.d)
     return SlabResponse(t=t, r=r, p=p, x=x)

@@ -65,3 +65,28 @@ def test_nan_value_raises_value_error():
 def test_running_out_of_iterations_raises_runtime_error():
     with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
         optimizer.brentq(lambda v: v**3 - 0.3, 0.0, 1.0, maxiter=2)
+
+
+def test_known_endpoint_values_save_two_calls():
+    slices = list(branch_slices())[::7]
+    slices += [(lambda v: v**3 - 0.3, 0.0, 1.0), (lambda v: math.cos(v) - v, -2.0, 3.0)]
+    for h, a, b in slices:
+        calls = []
+
+        def counted(v, h=h):
+            calls.append(v)
+            return h(v)
+
+        root = optimizer.brentq(counted, a, b)
+        plain_calls = len(calls)
+        calls.clear()
+        assert optimizer.brentq(counted, a, b, fa=h(a), fb=h(b)) == root
+        assert len(calls) == plain_calls - 2
+        assert a not in calls and b not in calls
+
+
+def test_nan_endpoint_value_raises_value_error():
+    with pytest.raises(ValueError, match="NaN"):
+        optimizer.brentq(lambda v: v - 0.3, 0.0, 1.0, fa=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        optimizer.brentq(lambda v: v - 0.3, 0.0, 1.0, fb=math.nan)

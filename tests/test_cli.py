@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bsbound import cli, optimizer
 from bsbound.optimizer import solve_thickness_for_ratio
 from conftest import GOLDEN
 
@@ -164,6 +165,37 @@ class TestBound:
         assert res.returncode == 3
 
 
+class TestScalingWarning:
+    """A ladder drift above the scaling tolerance warns on stderr only."""
+
+    @pytest.mark.parametrize("args, drift", [
+        (("--eps-s-max", "5.8285", "--gamma", "0.1", "--omega", "0.1"), 0.01075),
+        (("--gamma", "0.3", "--omega", "0.3"), 0.0167),
+    ])
+    def test_minimize_warns(self, run_cli, args, drift):
+        res = run_cli("minimize", "--x", "1", *args)
+        assert res.returncode == 0
+        rec = parse_csv_record(res.stdout)
+        assert rec["alpha_drift"] == pytest.approx(drift, rel=1e-3)
+        (line,) = res.stderr.splitlines()
+        assert line.startswith(f"warning: alpha_drift = {rec['alpha_drift']!r} exceeds 0.01;")
+
+    def test_default_minimize_is_quiet(self, run_cli):
+        res = run_cli("minimize", "--x", "1")
+        assert res.returncode == 0
+        assert res.stderr == ""
+
+    def test_bound_warns(self, monkeypatch, capsys):
+        # bound's ladder is DEFAULT_LEVELS, which drifts far less than 1% below x = 1e7
+        monkeypatch.setattr(optimizer, "DEFAULT_LEVELS", optimizer.ladder(0.3, 0.3, 2))
+        assert cli.main(["bound", "--x", "1", "--omega", "0.1"]) == 0
+        out, err = capsys.readouterr()
+        rec = parse_csv_record(out)
+        assert rec["alpha_drift"] > 0.01
+        (line,) = err.splitlines()
+        assert line.startswith(f"warning: alpha_drift = {rec['alpha_drift']!r} exceeds 0.01;")
+
+
 class TestNonFiniteInputs:
     """Every float flag must be finite; the rejection names the flag."""
 
@@ -197,7 +229,7 @@ class TestImports:
     def test_cli_import_loads_neither_scipy_nor_numpy(self, cli_env):
         code = (
             "import sys, bsbound.cli\n"
-            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))\n"
+            "print(sorted(m for m in ('json', 'scipy', 'numpy') if m in sys.modules))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,

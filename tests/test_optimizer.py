@@ -150,6 +150,11 @@ class TestMinimize:
         with pytest.raises(ValueError):
             MinimizeConfig(x_target=1.0, eps_s_range=(0.5, 10.0))
 
+    def test_slab_evaluation_count(self):
+        # deterministic work counter: a change of it is a change of the solve
+        res = minimize_absorption(MinimizeConfig(x_target=1.0))
+        assert res.diagnostics.slab_evaluations == 7440
+
     def test_fixed_constraint_tolerance(self):
         cfg = MinimizeConfig(x_target=1.0)
         assert cfg.constraint_rtol == 1e-10

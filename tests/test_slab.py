@@ -6,13 +6,33 @@ import pytest
 
 from bsbound.dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refractive_index
 from bsbound.optimizer import solve_thickness_for_ratio
-from bsbound.slab import ScaledSlabParams, evaluate, reflection, transmission
+from bsbound.slab import (
+    ScaledSlabParams,
+    _airy_factors,
+    _kernel,
+    evaluate,
+    reflection,
+    transmission,
+    working_index,
+)
 from oracles import airy_intensities, reference_slab_tr
 
 
 def lossless_index(eps_s, omega_tilde):
     model = DrudeLorentzModel([Resonance(1.0, math.sqrt(eps_s - 1.0), 0.0)])
     return refractive_index(model, omega_tilde)
+
+
+def inline_slab(n, phase):
+    """(t, r, p, x) from the Airy formulas written out, no per-index factors hoisted."""
+    nc = n.as_complex
+    den = (1 + nc) ** 2 - (1 - nc) ** 2 * cmath.exp(2j * nc * phase)
+    t = 4 * nc * cmath.exp(1j * (nc - 1) * phase) / den
+    r = (nc - 1) / (nc + 1) * cmath.exp(-1j * phase) * (
+        1 - t * cmath.exp(1j * (nc + 1) * phase)
+    )
+    t_sq, r_sq = abs(t) ** 2, abs(r) ** 2
+    return t, r, 1.0 - t_sq - r_sq, t_sq / r_sq
 
 
 class TestAmplitudes:
@@ -54,26 +74,58 @@ class TestAmplitudes:
             checked += 1
 
     def test_cached_factors_give_the_inline_formulas_bit_for_bit(self):
-        # the Airy formulas written out with no per-index factors hoisted
-        def inline(n, phase):
-            nc = n.as_complex
-            den = (1 + nc) ** 2 - (1 - nc) ** 2 * cmath.exp(2j * nc * phase)
-            t = 4 * nc * cmath.exp(1j * (nc - 1) * phase) / den
-            r = (nc - 1) / (nc + 1) * cmath.exp(-1j * phase) * (
-                1 - t * cmath.exp(1j * (nc + 1) * phase)
-            )
-            return t, r
-
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = ComplexIndex(float(rng.uniform(1.0, 30.0)), float(10.0 ** rng.uniform(-9, -1)))
             for phase in rng.uniform(1e-6, 5.0, size=4):
                 t = transmission(n, float(phase))
-                assert (t, reflection(n, float(phase), t)) == inline(n, float(phase))
+                assert (t, reflection(n, float(phase), t)) == inline_slab(n, float(phase))[:2]
 
     def test_negative_phase_rejected(self):
         with pytest.raises(ValueError):
             transmission(ComplexIndex(2.0, 0.0), -1.0)
+
+
+class TestKernel:
+    """The one Airy kernel behind transmission, reflection, evaluate and the solver."""
+
+    def test_matches_public_functions_and_inline_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            eps_s = float(1.0 + 10.0 ** rng.uniform(-3, 3))
+            gamma = float(10.0 ** rng.uniform(-5, -0.5))
+            omega = float(10.0 ** rng.uniform(-4, -0.3))
+            d = float(10.0 ** rng.uniform(-2, 3))
+            n = working_index(eps_s, gamma, omega)
+            phase = omega * d
+            out = _kernel(_airy_factors(n), phase)
+            t = transmission(n, phase)
+            assert out[:2] == (t, reflection(n, phase, t))
+            resp = evaluate(ScaledSlabParams(omega, gamma, d, eps_s))
+            assert out == (resp.t, resp.r, resp.p, resp.x)
+            assert out == inline_slab(n, phase)
+
+    def test_given_transmission_only_sets_the_reflection(self):
+        n = ComplexIndex(2.49, 0.001)
+        t = 0.3 - 0.4j
+        assert _kernel(_airy_factors(n), 0.5, t)[:2] == (t, reflection(n, 0.5, t))
+        assert reflection(n, 0.5, t) != reflection(n, 0.5, transmission(n, 0.5))
+
+    def test_zero_phase_identity(self):
+        n = working_index(6.2, 0.1, 0.3)
+        t, r, p, x = _kernel(_airy_factors(n), 0.0)
+        assert t == complex(1.0, 0.0) and r == 0 and p == 0.0 and x == math.inf
+        assert transmission(n, 0.0) == t and reflection(n, 0.0, t) == r
+        resp = evaluate(ScaledSlabParams(omega_tilde=0.3, gamma_tilde=0.1, d=0.0, eps_s=6.2))
+        assert (resp.t, resp.r, resp.p, resp.x) == (t, r, p, x)
+
+    def test_lossless_hook(self):
+        for eps_s, d in ((1.5, 40.0), (6.2, 500.0), (80.0, 3.0)):
+            n = working_index(eps_s, 0.0, 1e-3)
+            assert n.kappa == 0.0
+            out = _kernel(_airy_factors(n), 1e-3 * d)
+            assert out == inline_slab(n, 1e-3 * d)
+            assert abs(out[2]) < 1e-12
 
 
 class TestEvaluate:
