@@ -34,8 +34,8 @@ CASES = {
 }
 
 SOLVER_GOLDEN = "solver_reprs.txt"
-# extract_alpha ratios; at the largest x a last-bit change of a phase root
-# moves alpha visibly, so every root of the solve is pinned
+# extract_alpha ratios; at large x the ~1e-16 rounding of p is a visible
+# share of alpha, so a phase root that moves in its last bits shows here
 ALPHA_X = (0.05, 1.0, 10.0, 1e3, 1e6, 8.175e6)
 # solve_thickness_for_ratio points, each on both branches
 THICKNESS_EPS_S = (1.5, 6.2, 80.0)
