@@ -91,6 +91,12 @@ class MinimizeConfig:
             raise ValueError(f"gamma_tilde must be positive, got {self.gamma_tilde}")
         if not 0 < self.omega_tilde:
             raise ValueError(f"omega_tilde must be positive, got {self.omega_tilde}")
+        if not self.gamma_tilde * self.omega_tilde > 0:
+            # alpha divides by this product
+            raise ValueError(
+                f"gamma_tilde * omega_tilde underflows to zero at "
+                f"gamma_tilde={self.gamma_tilde}, omega_tilde={self.omega_tilde}"
+            )
         lo, hi = self.eps_s_range
         if not (1.0 < lo < hi):
             raise ValueError(f"eps_s_range must satisfy 1 < lo < hi, got {self.eps_s_range}")
@@ -150,7 +156,6 @@ class _Probe:
 
     def __init__(self, eps_s: float, gamma_tilde: float, omega_tilde: float) -> None:
         self.eps_s = eps_s
-        self.gamma_tilde = gamma_tilde
         self.omega_tilde = omega_tilde
         self.eta0 = math.sqrt(eps_s)
         self.index = working_index(eps_s, gamma_tilde, omega_tilde)
@@ -298,12 +303,6 @@ def _branch_roots(
             a, ha, b, hb = _PHI_LO, h(_PHI_LO), phi_valley, h_valley
         else:
             a, ha, b, hb = phi_valley, h_valley, _PHI_HI, h(_PHI_HI)
-        if ha == 0.0:
-            roots[branch] = a
-            continue
-        if hb == 0.0:
-            roots[branch] = b
-            continue
         if ha * hb > 0.0:
             continue  # target above this branch's reachable range
         roots[branch] = brentq(h, a, b, fa=ha, fb=hb)
@@ -393,6 +392,14 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     evals = 0
     scan_feasible = 0
 
+    def solve(eps: float, branches: Sequence[str]) -> tuple[_Probe, dict]:
+        """(probe, branch -> (phi, p, residual)) of the eps_s slice."""
+        nonlocal evals
+        probe = _Probe(eps, config.gamma_tilde, config.omega_tilde)
+        sols = _constrained_p(probe, config.x_target, branches)
+        evals += probe.evals
+        return probe, sols
+
     # lossless feasibility with 5% margin: loss shifts the reachable ratio
     # by O(gamma*omega), far below the margin
     def surely_infeasible(eps: float) -> bool:
@@ -403,9 +410,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     for i, eps in enumerate(grid):
         if surely_infeasible(eps):
             continue
-        probe = _Probe(eps, config.gamma_tilde, config.omega_tilde)
-        sols = _constrained_p(probe, config.x_target, _BRANCHES)
-        evals += probe.evals
+        _, sols = solve(eps, _BRANCHES)
         if sols:
             scan_feasible += 1
         for branch, (_, p, _) in sols.items():
@@ -417,6 +422,9 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         return _infeasible(scan_feasible, 0, evals)
 
     refine_iters = 0
+    # (branch, eps_s) -> (probe, phi, p, residual) of each refined slice; the
+    # golden search returns one of its evaluated points, read back below
+    solved: dict[tuple[str, float], tuple[_Probe, float, float, float]] = {}
     candidates: dict[str, tuple[float, float]] = {}
     for branch in _BRANCHES:
         if branch not in best_idx:
@@ -426,11 +434,12 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         b = grid[min(i + 1, len(grid) - 1)]
 
         def p_of_eps(eps: float, branch: str = branch) -> float:
-            nonlocal evals
-            probe = _Probe(eps, config.gamma_tilde, config.omega_tilde)
-            sols = _constrained_p(probe, config.x_target, (branch,))
-            evals += probe.evals
-            return sols[branch][1] if branch in sols else math.inf
+            probe, sols = solve(eps, (branch,))
+            if branch not in sols:
+                return math.inf
+            phi, p, residual = sols[branch]
+            solved[branch, eps] = (probe, phi, p, residual)
+            return p
 
         eps_star, p_star, iters = _golden_min(p_of_eps, a, b)
         refine_iters += iters
@@ -452,9 +461,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     )
 
     eps_star = candidates[chosen][0]
-    probe = _Probe(eps_star, config.gamma_tilde, config.omega_tilde)
-    phi, p_min, residual = _constrained_p(probe, config.x_target, (chosen,))[chosen]
-    evals += probe.evals
+    probe, phi, p_min, residual = solved[chosen, eps_star]
     d_star = probe.d_of_phi(phi)
     # report the actual optical phase at the working frequency
     phi_star = probe.index.eta * config.omega_tilde * d_star
@@ -490,13 +497,12 @@ def extract_alpha(
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
     base = config if config is not None else MinimizeConfig(x_target=x_target)
-    results = []
-    for gamma_tilde, omega_tilde in levels:
-        cfg = replace(
-            base, x_target=x_target, gamma_tilde=gamma_tilde, omega_tilde=omega_tilde
-        )
-        results.append(minimize_absorption(cfg))
-    results = tuple(results)
+    # every level is validated before any is solved
+    configs = [
+        replace(base, x_target=x_target, gamma_tilde=gamma_tilde, omega_tilde=omega_tilde)
+        for gamma_tilde, omega_tilde in levels
+    ]
+    results = tuple(minimize_absorption(cfg) for cfg in configs)
     if not all(r.feasible for r in results):
         return AlphaExtraction(
             alpha=math.nan, drift=math.nan, scaling_ok=False, feasible=False,

@@ -73,23 +73,16 @@ class SlabResponse:
 
 
 def _airy_factors(n: ComplexIndex) -> tuple[complex, ...]:
-    """Index-only factors of the Airy formulas in _kernel, built once per index.
+    """Index-only factors of the Airy formulas in _kernel.
 
     Returns (n, (1+n)^2, (1-n)^2, 2i*n, 4n, i*(n-1), (n-1)/(n+1), i*(n+1))
-    with n as a complex number.  The index is frozen, so the tuple is kept
-    in its instance dictionary, beside its fields, the way
-    functools.cached_property keeps a value (ComplexIndex must therefore not
-    use __slots__).
+    with n as a complex number.
     """
-    cache = n.__dict__
-    factors = cache.get("_airy_factors")
-    if factors is None:
-        nc = n.as_complex
-        factors = cache["_airy_factors"] = (
-            nc, (1 + nc) ** 2, (1 - nc) ** 2, 2j * nc, 4 * nc, 1j * (nc - 1),
-            (nc - 1) / (nc + 1), 1j * (nc + 1),
-        )
-    return factors
+    nc = n.as_complex
+    return (
+        nc, (1 + nc) ** 2, (1 - nc) ** 2, 2j * nc, 4 * nc, 1j * (nc - 1),
+        (nc - 1) / (nc + 1), 1j * (nc + 1),
+    )
 
 
 def _kernel(

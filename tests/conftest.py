@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,6 +12,14 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+# scripts/make_goldens.py: the golden commands (CASES) and solver_reprs
+_spec = importlib.util.spec_from_file_location(
+    "make_goldens", REPO / "scripts" / "make_goldens.py"
+)
+make_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_goldens)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 
 from bsbound import cli, optimizer
 from bsbound.optimizer import solve_thickness_for_ratio
-from conftest import GOLDEN
+from conftest import GOLDEN, make_goldens
 
 
 def parse_csv_record(text):
@@ -88,6 +88,17 @@ class TestMinimize:
         assert res.returncode == 0
         rec = parse_csv_record(res.stdout)
         assert rec["alpha"] < 0.05
+
+    @pytest.mark.parametrize("args", [
+        ("--gamma", "1e-200", "--omega", "1e-200", "--refine-levels", "1"),
+        ("--refine-levels", "200"),  # the ladder underflows from level 159 on
+    ], ids=["working-point", "ladder"])
+    def test_underflowing_working_point_exit_2(self, run_cli, args):
+        res = run_cli("minimize", "--x", "1", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: gamma_tilde * omega_tilde underflows to zero")
+        assert "Traceback" not in res.stderr
 
     def test_json_format_keys(self, run_cli):
         res = run_cli("minimize", "--x", "1", "--refine-levels", "1", "--format", "json")
@@ -257,32 +268,11 @@ class TestMisc:
 class TestGolden:
     """Frozen output formats; regenerate with scripts/make_goldens.py."""
 
-    def test_eval_csv(self, run_cli):
-        res = run_cli("eval", "--eps-s", "6.2", "--gamma", "1e-3", "--omega", "1e-3",
-                      "--thickness", "500")
-        assert res.stdout == (GOLDEN / "eval_point.csv").read_text()
+    @pytest.mark.parametrize("name", list(make_goldens.CASES))
+    def test_output_matches_golden(self, run_cli, name):
+        res = run_cli(*make_goldens.CASES[name])
+        assert res.stdout == (GOLDEN / name).read_text()
 
-    def test_eval_json(self, run_cli):
-        res = run_cli("eval", "--eps-s", "6.2", "--gamma", "1e-3", "--omega", "1e-3",
-                      "--thickness", "500", "--format", "json")
-        assert res.stdout == (GOLDEN / "eval_point.jsonl").read_text()
-
-    def test_sweep_csv(self, run_cli):
-        res = run_cli("sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3", "--log")
-        assert res.stdout == (GOLDEN / "sweep_small.csv").read_text()
-
-    def test_minimize_reflective_csv(self, run_cli):
-        res = run_cli("minimize", "--x", "0.05")
-        assert res.stdout == (GOLDEN / "minimize_reflective.csv").read_text()
-
-    def test_bound_headline_csv(self, run_cli):
-        res = run_cli("bound", "--x", "1", "--omega", "0.1")
-        assert res.stdout == (GOLDEN / "bound_headline.csv").read_text()
-
-    def test_minimize_single_level_csv(self, run_cli):
-        res = run_cli("minimize", "--x", "1", "--refine-levels", "1")
-        assert res.stdout == (GOLDEN / "minimize_single_level.csv").read_text()
-
-    def test_minimize_three_levels_csv(self, run_cli):
-        res = run_cli("minimize", "--x", "1", "--refine-levels", "3")
-        assert res.stdout == (GOLDEN / "minimize_three_levels.csv").read_text()
+    def test_every_golden_file_is_generated(self):
+        generated = {*make_goldens.CASES, make_goldens.SOLVER_GOLDEN}
+        assert {path.name for path in GOLDEN.iterdir()} <= generated

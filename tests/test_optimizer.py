@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from bsbound import optimizer
 from bsbound.optimizer import (
     MinimizeConfig,
     _Probe,
     extract_alpha,
+    ladder,
     minimize_absorption,
     solve_thickness_for_ratio,
     sweep,
 )
 from bsbound.slab import ScaledSlabParams, evaluate
+from conftest import GOLDEN, make_goldens
 
 INF, NAN = math.inf, math.nan
 
@@ -150,10 +153,14 @@ class TestMinimize:
         with pytest.raises(ValueError):
             MinimizeConfig(x_target=1.0, eps_s_range=(0.5, 10.0))
 
+    def test_underflowing_working_point_rejected(self):
+        with pytest.raises(ValueError, match="underflows to zero"):
+            MinimizeConfig(1.0, gamma_tilde=1e-200, omega_tilde=1e-200)
+
     def test_slab_evaluation_count(self):
         # deterministic work counter: a change of it is a change of the solve
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
-        assert res.diagnostics.slab_evaluations == 7440
+        assert res.diagnostics.slab_evaluations == 7389
 
     def test_fixed_constraint_tolerance(self):
         cfg = MinimizeConfig(x_target=1.0)
@@ -169,6 +176,12 @@ class TestExtractAlpha:
         assert ex.feasible and ex.scaling_ok
         assert ex.drift < 0.01
         assert 0.85 <= ex.alpha <= 0.95
+
+    def test_underflowing_ladder_fails_before_any_solve(self, monkeypatch):
+        # gamma*omega of level 159 and beyond is below the smallest float
+        monkeypatch.setattr(optimizer, "minimize_absorption", pytest.fail)
+        with pytest.raises(ValueError, match="underflows to zero"):
+            extract_alpha(1.0, ladder(1e-3, 1e-3, 200))
 
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
@@ -258,14 +271,5 @@ def test_non_finite_inputs_rejected(call):
 
 def test_solver_reprs_match_golden():
     # scripts/make_goldens.py writes the golden and renders the same cases
-    import importlib.util
-
-    from conftest import GOLDEN, REPO
-
-    spec = importlib.util.spec_from_file_location(
-        "make_goldens", REPO / "scripts" / "make_goldens.py"
-    )
-    make_goldens = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_goldens)
     expected = (GOLDEN / make_goldens.SOLVER_GOLDEN).read_text()
     assert make_goldens.solver_reprs() == expected

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bsbound import slab
 from bsbound.dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refractive_index
 from bsbound.optimizer import solve_thickness_for_ratio
 from bsbound.slab import (
@@ -80,6 +81,19 @@ class TestAmplitudes:
             for phase in rng.uniform(1e-6, 5.0, size=4):
                 t = transmission(n, float(phase))
                 assert (t, reflection(n, float(phase), t)) == inline_slab(n, float(phase))[:2]
+
+    def test_slab_calls_leave_the_index_untouched(self, monkeypatch):
+        n = working_index(6.2, 1e-3, 1e-3)
+        t = transmission(n, 0.5)
+        reflection(n, 0.5, t)
+        _airy_factors(n)
+        assert vars(n) == {"eta": n.eta, "kappa": n.kappa}
+        built = []
+        monkeypatch.setattr(
+            slab, "working_index", lambda *args: built.append(working_index(*args)) or built[-1]
+        )
+        evaluate(ScaledSlabParams(1e-3, 1e-3, 500.0, 6.2))
+        assert [vars(m) for m in built] == [{"eta": n.eta, "kappa": n.kappa}]
 
     def test_negative_phase_rejected(self):
         with pytest.raises(ValueError):
