@@ -6,7 +6,6 @@ only those goldens are written.  Besides the CLI outputs, SOLVER_GOLDEN
 pins the repr of every solver result field (see solver_reprs).
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -44,10 +43,10 @@ THICKNESS_X = (0.05, 1.0, 30.0)
 
 def _field_lines(name: str, value: object):
     """'name.field = repr' lines of a result, skipping the evaluation count."""
-    if dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            if field.name != "slab_evaluations":
-                yield from _field_lines(f"{name}.{field.name}", getattr(value, field.name))
+    if hasattr(value, "_fields"):
+        for field, item in zip(value._fields, value):
+            if field != "slab_evaluations":
+                yield from _field_lines(f"{name}.{field}", item)
     elif isinstance(value, tuple):
         for i, item in enumerate(value):
             yield from _field_lines(f"{name}[{i}]", item)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -32,8 +32,30 @@ class QuadratureError(RuntimeError):
     """Raised when sum-rule refinements fail to settle within tolerance."""
 
 
-@dataclass(frozen=True)
-class Resonance:
+class _Checked:
+    """Validation for a record built on collections.namedtuple.
+
+    Put first among the bases of a namedtuple subclass that defines
+    _check(self), which raises ValueError on a bad field.  Every way of
+    building an instance runs the check: the constructor, _make and
+    _replace, pickling and copying.  The tuple is built before the check,
+    so its messages can format the record.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, and so _replace, would skip __new__
+        return cls(*iterable)
+
+
+class Resonance(_Checked, namedtuple("Resonance", "omega_t omega_p gamma")):
     """One damped-oscillator resonance.
 
     Frequencies are in whatever unit the caller chose; the optimization
@@ -42,11 +64,9 @@ class Resonance:
     vacuum / lossless limits used by the test hooks.
     """
 
-    omega_t: float
-    omega_p: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.omega_t > 0:
             raise ValueError(f"omega_t must be positive, got {self.omega_t}")
         if self.omega_p < 0:
@@ -55,31 +75,32 @@ class Resonance:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class DrudeLorentzModel:
-    """Ordered collection of resonances defining chi(omega)."""
+class DrudeLorentzModel(_Checked, namedtuple("DrudeLorentzModel", "resonances")):
+    """Ordered collection of resonances defining chi(omega).
 
-    resonances: tuple[Resonance, ...]
+    resonances may be any sequence; it is stored as a tuple.
+    """
 
-    def __init__(self, resonances: Sequence[Resonance]) -> None:
-        resonances = tuple(resonances)
-        if not resonances:
+    __slots__ = ()
+
+    def __new__(cls, resonances: Sequence[Resonance]) -> "DrudeLorentzModel":
+        return super().__new__(cls, tuple(resonances))
+
+    def _check(self) -> None:
+        if not self.resonances:
             raise ValueError("model needs at least one resonance")
-        object.__setattr__(self, "resonances", resonances)
 
     def static_permittivity(self) -> float:
         """1 + chi(0), always real and > 1 for a physical model."""
         return 1.0 + sum(r.omega_p**2 / r.omega_t**2 for r in self.resonances)
 
 
-@dataclass(frozen=True)
-class ComplexIndex:
+class ComplexIndex(_Checked, namedtuple("ComplexIndex", "eta kappa")):
     """Refractive index n = eta + i*kappa on the physical branch."""
 
-    eta: float
-    kappa: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.kappa < 0:

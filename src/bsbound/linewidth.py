@@ -9,7 +9,9 @@ the physical constants below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+from .dielectric import _Checked
 
 __all__ = [
     "HBAR",
@@ -30,8 +32,7 @@ EPSILON_0 = 8.8541878128e-12  # F / m
 SPEED_OF_LIGHT = 299792458.0  # m / s
 
 
-@dataclass(frozen=True)
-class DecayContext:
+class DecayContext(_Checked, namedtuple("DecayContext", "n_vt eta")):
     """Scaled inputs of the line-width bound.
 
     n_vt is the number of radiating dipoles in a cube of side one
@@ -39,25 +40,27 @@ class DecayContext:
     refractive index, which must come from the constrained minimization.
     """
 
-    n_vt: float
-    eta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.n_vt > 0:
             raise ValueError(f"n_vt must be positive, got {self.n_vt}")
         if not self.eta > 1:
             raise ValueError(f"eta must exceed 1, got {self.eta}")
 
 
-@dataclass(frozen=True)
-class PhysicalDipoleInputs:
-    """Unscaled quantities entering the dipole relations (SI units)."""
+class PhysicalDipoleInputs(
+    _Checked,
+    namedtuple("PhysicalDipoleInputs", "omega_t number_density dipole_sq"),
+):
+    """Unscaled quantities entering the dipole relations (SI units).
 
-    omega_t: float  # rad / s
-    number_density: float  # m^-3
-    dipole_sq: float  # C^2 m^2
+    omega_t in rad / s, number_density in m^-3, dipole_sq in C^2 m^2.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not (self.omega_t > 0 and self.number_density > 0 and self.dipole_sq > 0):
             raise ValueError("all PhysicalDipoleInputs fields must be positive")
 

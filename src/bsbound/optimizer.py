@@ -16,9 +16,10 @@ the best bracket by golden section, separately per branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Optional, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
+from .dielectric import _Checked
 from .slab import _airy_factors, _kernel, working_index
 # unused here, but bench/tracer.py patches these names in this module
 from .slab import reflection, transmission  # noqa: F401
@@ -70,18 +71,20 @@ def ladder(
 DEFAULT_LEVELS = ladder(1e-3, 1e-3, 2)
 
 
-@dataclass(frozen=True)
-class MinimizeConfig:
+class MinimizeConfig(
+    _Checked,
+    namedtuple(
+        "MinimizeConfig", "x_target gamma_tilde omega_tilde eps_s_range",
+        defaults=(1e-3, 1e-3, (1.0 + 1e-6, 1e3)),
+    ),
+):
     """Target ratio, working point and eps_s search range of one minimization."""
 
-    x_target: float
-    gamma_tilde: float = 1e-3
-    omega_tilde: float = 1e-3
-    eps_s_range: tuple[float, float] = (1.0 + 1e-6, 1e3)
+    __slots__ = ()
     # relative ratio residual the inner solve must reach at every root
-    constraint_rtol: ClassVar[float] = 1e-10
+    constraint_rtol = 1e-10
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         values = (self.x_target, self.gamma_tilde, self.omega_tilde, *self.eps_s_range)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"values must be finite, got {self}")
@@ -102,8 +105,7 @@ class MinimizeConfig:
             raise ValueError(f"eps_s_range must satisfy 1 < lo < hi, got {self.eps_s_range}")
 
 
-@dataclass(frozen=True)
-class MinimizeDiagnostics:
+class MinimizeDiagnostics(NamedTuple):
     constraint_residual: float
     scan_feasible: int
     refine_iterations: int
@@ -111,8 +113,7 @@ class MinimizeDiagnostics:
     rejected_branch_p: float
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """Optimum of one constrained minimization.
 
     alpha = p_min / (gamma_tilde * omega_tilde) is the working-point
@@ -130,8 +131,7 @@ class MinimizeResult:
     diagnostics: MinimizeDiagnostics
 
 
-@dataclass(frozen=True)
-class AlphaExtraction:
+class AlphaExtraction(NamedTuple):
     """alpha from a ladder of shrinking (gamma_tilde, omega_tilde) levels."""
 
     alpha: float
@@ -141,8 +141,7 @@ class AlphaExtraction:
     results: tuple[MinimizeResult, ...]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     x: float
     alpha: float
     eps_s_star: float
@@ -499,7 +498,7 @@ def extract_alpha(
     base = config if config is not None else MinimizeConfig(x_target=x_target)
     # every level is validated before any is solved
     configs = [
-        replace(base, x_target=x_target, gamma_tilde=gamma_tilde, omega_tilde=omega_tilde)
+        MinimizeConfig(x_target, gamma_tilde, omega_tilde, base.eps_s_range)
         for gamma_tilde, omega_tilde in levels
     ]
     results = tuple(minimize_absorption(cfg) for cfg in configs)

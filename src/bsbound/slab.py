@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
-from .dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refractive_index
+from .dielectric import (
+    ComplexIndex, DrudeLorentzModel, Resonance, _Checked, refractive_index,
+)
 
 __all__ = [
     "ScaledSlabParams",
@@ -32,20 +34,18 @@ class DegenerateDenominatorError(ArithmeticError):
     """Interference denominator underflowed to zero (cannot occur for kappa > 0)."""
 
 
-@dataclass(frozen=True)
-class ScaledSlabParams:
+class ScaledSlabParams(
+    _Checked, namedtuple("ScaledSlabParams", "omega_tilde gamma_tilde d eps_s")
+):
     """Dimensionless working point of a single-resonance slab.
 
     gamma_tilde = 0 is accepted as the lossless test hook and d = 0 as the
     no-slab identity; the physical pipeline uses strictly positive values.
     """
 
-    omega_tilde: float
-    gamma_tilde: float
-    d: float
-    eps_s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not all(map(math.isfinite, (self.omega_tilde, self.gamma_tilde, self.d, self.eps_s))):
             raise ValueError(f"values must be finite, got {self}")
         if not self.omega_tilde > 0:
@@ -58,8 +58,7 @@ class ScaledSlabParams:
             raise ValueError(f"eps_s must exceed 1, got {self.eps_s}")
 
 
-@dataclass(frozen=True)
-class SlabResponse:
+class SlabResponse(NamedTuple):
     """Amplitudes and scalar figures at one working point.
 
     p = 1 - |t|^2 - |r|^2 by construction; x = |t|^2 / |r|^2, infinite

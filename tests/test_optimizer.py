@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -165,7 +164,7 @@ class TestMinimize:
     def test_fixed_constraint_tolerance(self):
         cfg = MinimizeConfig(x_target=1.0)
         assert cfg.constraint_rtol == 1e-10
-        assert [f.name for f in fields(cfg)] == [
+        assert list(MinimizeConfig._fields) == [
             "x_target", "gamma_tilde", "omega_tilde", "eps_s_range",
         ]
 
