@@ -53,23 +53,40 @@ def _minimize_with_levels(cfg: optimizer.MinimizeConfig, levels: int) -> tuple:
     """(alpha, drift, final MinimizeResult, feasible) over `levels` ladder levels.
 
     The ladder starts at cfg's working point; one level reports a NaN drift.
-    A feasible ladder whose drift breaks the separable scaling gets a
-    warning on stderr.
+    A reported p_min <= 0 raises ValueError: the working point is below the
+    resolution of p.  Phase roots left out for missing the constraint
+    tolerance, and a feasible ladder whose drift breaks the separable
+    scaling, each get a warning on stderr.
     """
+    steps = optimizer.ladder(cfg.gamma_tilde, cfg.omega_tilde, levels)
     if levels == 1:
         res = optimizer.minimize_absorption(cfg)
-        return res.alpha, math.nan, res, res.feasible
-    extraction = optimizer.extract_alpha(
-        cfg.x_target, optimizer.ladder(cfg.gamma_tilde, cfg.omega_tilde, levels), cfg
-    )
-    if extraction.feasible and not extraction.scaling_ok:
+        alpha, drift, feasible, scaling_ok = res.alpha, math.nan, res.feasible, True
+    else:
+        extraction = optimizer.extract_alpha(cfg.x_target, steps, cfg)
+        alpha, drift, feasible = extraction.alpha, extraction.drift, extraction.feasible
+        res, scaling_ok = extraction.results[-1], extraction.scaling_ok
+    if res.p_min <= 0.0:
+        gamma, omega = steps[-1]
+        raise ValueError(
+            f"p_min = {res.p_min!r} is not positive at gamma*omega = {gamma * omega!r}: "
+            f"p = 1 - |t|^2 - |r|^2 resolves absorption only to about "
+            f"{sys.float_info.epsilon!r}, so raise --gamma or --omega"
+        )
+    if res.diagnostics.nonconverged_roots:
         print(
-            f"warning: alpha_drift = {extraction.drift!r} exceeds "
+            f"warning: {res.diagnostics.nonconverged_roots} phase root(s) missed "
+            f"constraint_rtol = {cfg.constraint_rtol!r} and were left out of the search",
+            file=sys.stderr,
+        )
+    if feasible and not scaling_ok:
+        print(
+            f"warning: alpha_drift = {drift!r} exceeds "
             f"{optimizer._DRIFT_TOL!r}; alpha does not scale as p/(gamma*omega) "
             "at this working point",
             file=sys.stderr,
         )
-    return extraction.alpha, extraction.drift, extraction.results[-1], extraction.feasible
+    return alpha, drift, res, feasible
 
 
 def cmd_eval(args) -> int:

@@ -207,6 +207,54 @@ class TestScalingWarning:
         assert line.startswith(f"warning: alpha_drift = {rec['alpha_drift']!r} exceeds 0.01;")
 
 
+class TestLargeRatios:
+    """Above x = 1.7e7 a second-branch root can miss the constraint
+    tolerance; it is left out with a warning, never raised."""
+
+    COMMANDS = {
+        "minimize": lambda x: ("minimize", "--x", x),
+        "bound": lambda x: ("bound", "--x", x, "--omega", "0.1"),
+        "sweep": lambda x: ("sweep", "--x-min", x, "--x-max", repr(2 * float(x)),
+                             "--points", "2"),
+    }
+
+    @pytest.mark.parametrize("x", ["1.7e7", "1e8", "1e9"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exit_0_with_positive_alpha(self, run_cli, command, x):
+        res = run_cli(*self.COMMANDS[command](x))
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        header, *rows = res.stdout.strip().split("\n")
+        alphas = [float(row.split(",")[header.split(",").index("alpha")]) for row in rows]
+        assert alphas and all(math.isfinite(a) and a > 0 for a in alphas)
+
+    @pytest.mark.parametrize("args", [
+        ("minimize", "--x", "1e8"), ("bound", "--x", "1e8", "--omega", "0.1"),
+    ])
+    def test_left_out_root_warns_once(self, run_cli, args):
+        res = run_cli(*args)
+        assert res.returncode == 0
+        (line,) = res.stderr.splitlines()
+        assert line == (
+            "warning: 1 phase root(s) missed constraint_rtol = 1e-10 "
+            "and were left out of the search"
+        )
+
+
+class TestUnresolvedAbsorption:
+    """A working point below the resolution of p is an input error, not a result."""
+
+    @pytest.mark.parametrize("level", ["1e-8", "1e-9"])
+    def test_non_positive_p_min_exit_2(self, run_cli, level):
+        res = run_cli("minimize", "--x", "1", "--gamma", level, "--omega", level)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        (line,) = res.stderr.splitlines()
+        assert line.startswith("error: p_min = ")
+        assert "is not positive at gamma*omega = " in line
+        assert "resolves absorption only to about 2.220446049250313e-16" in line
+
+
 class TestNonFiniteInputs:
     """Every float flag must be finite; the rejection names the flag."""
 
@@ -238,9 +286,11 @@ class TestNonFiniteInputs:
 
 class TestImports:
     def test_cli_import_loads_neither_scipy_nor_numpy(self, cli_env):
+        # dataclasses would pull in inspect, ast, dis and tokenize
         code = (
             "import sys, bsbound.cli\n"
-            "print(sorted(m for m in ('json', 'scipy', 'numpy') if m in sys.modules))\n"
+            "heavy = ('json', 'scipy', 'numpy', 'dataclasses', 'inspect')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
