@@ -33,25 +33,19 @@ class QuadratureError(RuntimeError):
 
 
 class _Checked:
-    """Validation for a record built on collections.namedtuple.
+    """Base of a namedtuple record whose __new__ checks its fields.
 
-    Put first among the bases of a namedtuple subclass that defines
-    _check(self), which raises ValueError on a bad field.  Every way of
-    building an instance runs the check: the constructor, _make and
-    _replace, pickling and copying.  The tuple is built before the check,
-    so its messages can format the record.
+    Put first among the bases.  The record's __new__ builds the tuple with
+    tuple.__new__, then raises ValueError on a bad field.  _make, and so
+    _replace, goes through __new__ too, as do pickling and copying, so
+    every way of building a record runs the checks.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
     @classmethod
     def _make(cls, iterable):
-        # namedtuple's own _make, and so _replace, would skip __new__
+        # namedtuple's own _make calls tuple.__new__ and skips the checks
         return cls(*iterable)
 
 
@@ -66,13 +60,14 @@ class Resonance(_Checked, namedtuple("Resonance", "omega_t omega_p gamma")):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if not self.omega_t > 0:
-            raise ValueError(f"omega_t must be positive, got {self.omega_t}")
-        if self.omega_p < 0:
-            raise ValueError(f"omega_p must be non-negative, got {self.omega_p}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+    def __new__(cls, omega_t: float, omega_p: float, gamma: float) -> "Resonance":
+        if not omega_t > 0:
+            raise ValueError(f"omega_t must be positive, got {omega_t}")
+        if omega_p < 0:
+            raise ValueError(f"omega_p must be non-negative, got {omega_p}")
+        if gamma < 0:
+            raise ValueError(f"gamma must be non-negative, got {gamma}")
+        return tuple.__new__(cls, (omega_t, omega_p, gamma))
 
 
 class DrudeLorentzModel(_Checked, namedtuple("DrudeLorentzModel", "resonances")):
@@ -84,11 +79,10 @@ class DrudeLorentzModel(_Checked, namedtuple("DrudeLorentzModel", "resonances"))
     __slots__ = ()
 
     def __new__(cls, resonances: Sequence[Resonance]) -> "DrudeLorentzModel":
-        return super().__new__(cls, tuple(resonances))
-
-    def _check(self) -> None:
-        if not self.resonances:
+        resonances = tuple(resonances)
+        if not resonances:
             raise ValueError("model needs at least one resonance")
+        return tuple.__new__(cls, (resonances,))
 
     def static_permittivity(self) -> float:
         """1 + chi(0), always real and > 1 for a physical model."""
@@ -100,11 +94,12 @@ class ComplexIndex(_Checked, namedtuple("ComplexIndex", "eta kappa")):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
+    def __new__(cls, eta: float, kappa: float) -> "ComplexIndex":
+        if not eta > 0:
+            raise ValueError(f"eta must be positive, got {eta}")
+        if kappa < 0:
+            raise ValueError(f"kappa must be non-negative, got {kappa}")
+        return tuple.__new__(cls, (eta, kappa))
 
     @property
     def as_complex(self) -> complex:

@@ -42,11 +42,12 @@ class DecayContext(_Checked, namedtuple("DecayContext", "n_vt eta")):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if not self.n_vt > 0:
-            raise ValueError(f"n_vt must be positive, got {self.n_vt}")
-        if not self.eta > 1:
-            raise ValueError(f"eta must exceed 1, got {self.eta}")
+    def __new__(cls, n_vt: float, eta: float) -> "DecayContext":
+        if not n_vt > 0:
+            raise ValueError(f"n_vt must be positive, got {n_vt}")
+        if not eta > 1:
+            raise ValueError(f"eta must exceed 1, got {eta}")
+        return tuple.__new__(cls, (n_vt, eta))
 
 
 class PhysicalDipoleInputs(
@@ -60,9 +61,12 @@ class PhysicalDipoleInputs(
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if not (self.omega_t > 0 and self.number_density > 0 and self.dipole_sq > 0):
+    def __new__(
+        cls, omega_t: float, number_density: float, dipole_sq: float
+    ) -> "PhysicalDipoleInputs":
+        if not (omega_t > 0 and number_density > 0 and dipole_sq > 0):
             raise ValueError("all PhysicalDipoleInputs fields must be positive")
+        return tuple.__new__(cls, (omega_t, number_density, dipole_sq))
 
     @classmethod
     def from_static_index(

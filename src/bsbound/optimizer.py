@@ -73,10 +73,7 @@ DEFAULT_LEVELS = ladder(1e-3, 1e-3, 2)
 
 class MinimizeConfig(
     _Checked,
-    namedtuple(
-        "MinimizeConfig", "x_target gamma_tilde omega_tilde eps_s_range",
-        defaults=(1e-3, 1e-3, (1.0 + 1e-6, 1e3)),
-    ),
+    namedtuple("MinimizeConfig", "x_target gamma_tilde omega_tilde eps_s_range"),
 ):
     """Target ratio, working point and eps_s search range of one minimization."""
 
@@ -84,25 +81,33 @@ class MinimizeConfig(
     # relative ratio residual the inner solve must reach at every root
     constraint_rtol = 1e-10
 
-    def _check(self) -> None:
-        values = (self.x_target, self.gamma_tilde, self.omega_tilde, *self.eps_s_range)
+    def __new__(
+        cls,
+        x_target: float,
+        gamma_tilde: float = 1e-3,
+        omega_tilde: float = 1e-3,
+        eps_s_range: tuple[float, float] = (1.0 + 1e-6, 1e3),
+    ) -> "MinimizeConfig":
+        self = tuple.__new__(cls, (x_target, gamma_tilde, omega_tilde, eps_s_range))
+        values = (x_target, gamma_tilde, omega_tilde, *eps_s_range)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"values must be finite, got {self}")
-        if not self.x_target > 0:
-            raise ValueError(f"x_target must be positive, got {self.x_target}")
-        if not 0 < self.gamma_tilde:
-            raise ValueError(f"gamma_tilde must be positive, got {self.gamma_tilde}")
-        if not 0 < self.omega_tilde:
-            raise ValueError(f"omega_tilde must be positive, got {self.omega_tilde}")
-        if not self.gamma_tilde * self.omega_tilde > 0:
+        if not x_target > 0:
+            raise ValueError(f"x_target must be positive, got {x_target}")
+        if not 0 < gamma_tilde:
+            raise ValueError(f"gamma_tilde must be positive, got {gamma_tilde}")
+        if not 0 < omega_tilde:
+            raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
+        if not gamma_tilde * omega_tilde > 0:
             # alpha divides by this product
             raise ValueError(
                 f"gamma_tilde * omega_tilde underflows to zero at "
-                f"gamma_tilde={self.gamma_tilde}, omega_tilde={self.omega_tilde}"
+                f"gamma_tilde={gamma_tilde}, omega_tilde={omega_tilde}"
             )
-        lo, hi = self.eps_s_range
+        lo, hi = eps_s_range
         if not (1.0 < lo < hi):
-            raise ValueError(f"eps_s_range must satisfy 1 < lo < hi, got {self.eps_s_range}")
+            raise ValueError(f"eps_s_range must satisfy 1 < lo < hi, got {eps_s_range}")
+        return self
 
 
 class MinimizeDiagnostics(NamedTuple):
@@ -161,7 +166,6 @@ class _Probe:
     """Response of one eps_s slice as a function of phase, with eval count."""
 
     def __init__(self, eps_s: float, gamma_tilde: float, omega_tilde: float) -> None:
-        self.eps_s = eps_s
         self.omega_tilde = omega_tilde
         self.eta0 = math.sqrt(eps_s)
         self.index = working_index(eps_s, gamma_tilde, omega_tilde)

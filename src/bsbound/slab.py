@@ -45,17 +45,21 @@ class ScaledSlabParams(
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if not all(map(math.isfinite, (self.omega_tilde, self.gamma_tilde, self.d, self.eps_s))):
+    def __new__(
+        cls, omega_tilde: float, gamma_tilde: float, d: float, eps_s: float
+    ) -> "ScaledSlabParams":
+        self = tuple.__new__(cls, (omega_tilde, gamma_tilde, d, eps_s))
+        if not all(map(math.isfinite, self)):
             raise ValueError(f"values must be finite, got {self}")
-        if not self.omega_tilde > 0:
-            raise ValueError(f"omega_tilde must be positive, got {self.omega_tilde}")
-        if self.gamma_tilde < 0:
-            raise ValueError(f"gamma_tilde must be non-negative, got {self.gamma_tilde}")
-        if self.d < 0:
-            raise ValueError(f"d must be non-negative, got {self.d}")
-        if not self.eps_s > 1:
-            raise ValueError(f"eps_s must exceed 1, got {self.eps_s}")
+        if not omega_tilde > 0:
+            raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
+        if gamma_tilde < 0:
+            raise ValueError(f"gamma_tilde must be non-negative, got {gamma_tilde}")
+        if d < 0:
+            raise ValueError(f"d must be non-negative, got {d}")
+        if not eps_s > 1:
+            raise ValueError(f"eps_s must exceed 1, got {eps_s}")
+        return self
 
 
 class SlabResponse(NamedTuple):
