@@ -35,8 +35,8 @@ class QuadratureError(RuntimeError):
 class _Checked:
     """Base of a namedtuple record whose __new__ checks its fields.
 
-    Put first among the bases.  The record's __new__ builds the tuple with
-    tuple.__new__, then raises ValueError on a bad field.  _make, and so
+    Put first among the bases.  The record's own __new__ raises ValueError
+    on a bad field and builds the tuple with tuple.__new__.  _make, and so
     _replace, goes through __new__ too, as do pickling and copying, so
     every way of building a record runs the checks.
     """
