@@ -54,30 +54,24 @@ def _minimize_with_levels(cfg: optimizer.MinimizeConfig, levels: int) -> tuple:
 
     The ladder starts at cfg's working point; one level reports a NaN drift.
     A reported p_min <= 0 raises ValueError: the working point is below the
-    resolution of p.  Phase roots left out for missing the constraint
-    tolerance, and a feasible ladder whose drift breaks the separable
-    scaling, each get a warning on stderr.
+    resolution of p.  A feasible ladder whose drift breaks the separable
+    scaling gets a warning on stderr.
     """
-    steps = optimizer.ladder(cfg.gamma_tilde, cfg.omega_tilde, levels)
     if levels == 1:
         res = optimizer.minimize_absorption(cfg)
         alpha, drift, feasible, scaling_ok = res.alpha, math.nan, res.feasible, True
+        gamma_omega = cfg.gamma_tilde * cfg.omega_tilde
     else:
+        steps = optimizer.ladder(cfg.gamma_tilde, cfg.omega_tilde, levels)
         extraction = optimizer.extract_alpha(cfg.x_target, steps, cfg)
         alpha, drift, feasible = extraction.alpha, extraction.drift, extraction.feasible
         res, scaling_ok = extraction.results[-1], extraction.scaling_ok
+        gamma_omega = steps[-1][0] * steps[-1][1]
     if res.p_min <= 0.0:
-        gamma, omega = steps[-1]
         raise ValueError(
-            f"p_min = {res.p_min!r} is not positive at gamma*omega = {gamma * omega!r}: "
+            f"p_min = {res.p_min!r} is not positive at gamma*omega = {gamma_omega!r}: "
             f"p = 1 - |t|^2 - |r|^2 resolves absorption only to about "
             f"{sys.float_info.epsilon!r}, so raise --gamma or --omega"
-        )
-    if res.diagnostics.nonconverged_roots:
-        print(
-            f"warning: {res.diagnostics.nonconverged_roots} phase root(s) missed "
-            f"constraint_rtol = {cfg.constraint_rtol!r} and were left out of the search",
-            file=sys.stderr,
         )
     if feasible and not scaling_ok:
         print(

@@ -111,18 +111,11 @@ class MinimizeConfig(
 
 
 class MinimizeDiagnostics(NamedTuple):
-    """Work counters and checks of one minimization.
-
-    nonconverged_roots counts the phase roots whose ratio residual stayed
-    above MinimizeConfig.constraint_rtol; they are left out of the search.
-    """
-
     constraint_residual: float
     scan_feasible: int
     refine_iterations: int
     slab_evaluations: int
     rejected_branch_p: float
-    nonconverged_roots: int
 
 
 class MinimizeResult(NamedTuple):
@@ -166,6 +159,7 @@ class _Probe:
     """Response of one eps_s slice as a function of phase, with eval count."""
 
     def __init__(self, eps_s: float, gamma_tilde: float, omega_tilde: float) -> None:
+        self.eps_s = eps_s
         self.omega_tilde = omega_tilde
         self.eta0 = math.sqrt(eps_s)
         self.index = working_index(eps_s, gamma_tilde, omega_tilde)
@@ -353,24 +347,20 @@ def solve_thickness_for_ratio(
 
 def _constrained_p(
     probe: _Probe, x_target: float, branches: Sequence[str]
-) -> tuple[dict[str, tuple[float, float, float]], int]:
-    """(branch -> (phi, p, residual), nonconverged) at the constraint.
-
-    A root whose ratio residual exceeds MinimizeConfig.constraint_rtol is
-    left out and counted in nonconverged.  Near phi = pi on the second
-    branch the phase's own rounding can move x by more than the tolerance.
-    """
+) -> dict[str, tuple[float, float, float]]:
+    """branch -> (phi, p, residual) at the constraint, checked against tolerance."""
     constraint_rtol = MinimizeConfig.constraint_rtol
     out: dict[str, tuple[float, float, float]] = {}
-    nonconverged = 0
     for branch, phi in _branch_roots(probe, x_target, branches).items():
         p, x = probe.response(phi)
         residual = abs(x - x_target) / x_target
         if residual > constraint_rtol:
-            nonconverged += 1
-        else:
-            out[branch] = (phi, p, residual)
-    return out, nonconverged
+            raise RuntimeError(
+                f"inner solve left residual {residual:.3e} > {constraint_rtol:.1e} "
+                f"at eps_s={probe.eps_s}, x={x_target}, branch={branch}"
+            )
+        out[branch] = (phi, p, residual)
+    return out
 
 
 def _scan_grid(lo: float, hi: float, points: int) -> list[float]:
@@ -380,9 +370,7 @@ def _scan_grid(lo: float, hi: float, points: int) -> list[float]:
     return [1.0 + (lo - 1.0) * ratio ** (k / (points - 1)) for k in range(points)]
 
 
-def _infeasible(
-    scan_feasible: int, refine_iters: int, evals: int, nonconverged: int
-) -> MinimizeResult:
+def _infeasible(scan_feasible: int, refine_iters: int, evals: int) -> MinimizeResult:
     nan = math.nan
     return MinimizeResult(
         alpha=nan, eps_s_star=nan, d_star=nan, p_min=nan, phi_star=nan,
@@ -390,7 +378,7 @@ def _infeasible(
         diagnostics=MinimizeDiagnostics(
             constraint_residual=nan, scan_feasible=scan_feasible,
             refine_iterations=refine_iters, slab_evaluations=evals,
-            rejected_branch_p=nan, nonconverged_roots=nonconverged,
+            rejected_branch_p=nan,
         ),
     )
 
@@ -406,16 +394,14 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     lo, hi = config.eps_s_range
     grid = _scan_grid(lo, hi, _SCAN_POINTS)
     evals = 0
-    nonconverged = 0
     scan_feasible = 0
 
     def solve(eps: float, branches: Sequence[str]) -> tuple[_Probe, dict]:
         """(probe, branch -> (phi, p, residual)) of the eps_s slice."""
-        nonlocal evals, nonconverged
+        nonlocal evals
         probe = _Probe(eps, config.gamma_tilde, config.omega_tilde)
-        sols, missed = _constrained_p(probe, config.x_target, branches)
+        sols = _constrained_p(probe, config.x_target, branches)
         evals += probe.evals
-        nonconverged += missed
         return probe, sols
 
     # lossless feasibility with 5% margin: loss shifts the reachable ratio
@@ -437,7 +423,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
                 best_idx[branch] = i
 
     if not best_idx:
-        return _infeasible(scan_feasible, 0, evals, nonconverged)
+        return _infeasible(scan_feasible, 0, evals)
 
     refine_iters = 0
     # (branch, eps_s) -> (probe, phi, p, residual) of each refined slice; the
@@ -465,7 +451,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
             candidates[branch] = (eps_star, p_star)
 
     if not candidates:
-        return _infeasible(scan_feasible, refine_iters, evals, nonconverged)
+        return _infeasible(scan_feasible, refine_iters, evals)
 
     # branch selection: smaller p wins, ties go to the thinner slab (first)
     order = [b for b in _BRANCHES if b in candidates]
@@ -497,7 +483,6 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
             refine_iterations=refine_iters,
             slab_evaluations=evals,
             rejected_branch_p=rejected_p,
-            nonconverged_roots=nonconverged,
         ),
     )
 

@@ -207,40 +207,6 @@ class TestScalingWarning:
         assert line.startswith(f"warning: alpha_drift = {rec['alpha_drift']!r} exceeds 0.01;")
 
 
-class TestLargeRatios:
-    """Above x = 1.7e7 a second-branch root can miss the constraint
-    tolerance; it is left out with a warning, never raised."""
-
-    COMMANDS = {
-        "minimize": lambda x: ("minimize", "--x", x),
-        "bound": lambda x: ("bound", "--x", x, "--omega", "0.1"),
-        "sweep": lambda x: ("sweep", "--x-min", x, "--x-max", repr(2 * float(x)),
-                             "--points", "2"),
-    }
-
-    @pytest.mark.parametrize("x", ["1.7e7", "1e8", "1e9"])
-    @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_exit_0_with_positive_alpha(self, run_cli, command, x):
-        res = run_cli(*self.COMMANDS[command](x))
-        assert res.returncode == 0, res.stderr
-        assert "Traceback" not in res.stderr
-        header, *rows = res.stdout.strip().split("\n")
-        alphas = [float(row.split(",")[header.split(",").index("alpha")]) for row in rows]
-        assert alphas and all(math.isfinite(a) and a > 0 for a in alphas)
-
-    @pytest.mark.parametrize("args", [
-        ("minimize", "--x", "1e8"), ("bound", "--x", "1e8", "--omega", "0.1"),
-    ])
-    def test_left_out_root_warns_once(self, run_cli, args):
-        res = run_cli(*args)
-        assert res.returncode == 0
-        (line,) = res.stderr.splitlines()
-        assert line == (
-            "warning: 1 phase root(s) missed constraint_rtol = 1e-10 "
-            "and were left out of the search"
-        )
-
-
 class TestUnresolvedAbsorption:
     """A working point below the resolution of p is an input error, not a result."""
 
@@ -253,6 +219,12 @@ class TestUnresolvedAbsorption:
         assert line.startswith("error: p_min = ")
         assert "is not positive at gamma*omega = " in line
         assert "resolves absorption only to about 2.220446049250313e-16" in line
+
+    def test_single_level_names_its_own_working_point(self, run_cli):
+        res = run_cli("minimize", "--x", "1", "--gamma", "1e-9", "--omega", "1e-9",
+                      "--refine-levels", "1")
+        assert res.returncode == 2
+        assert " is not positive at gamma*omega = 1e-18: " in res.stderr
 
 
 class TestNonFiniteInputs:
