@@ -210,21 +210,21 @@ class TestScalingWarning:
 class TestUnresolvedAbsorption:
     """A working point below the resolution of p is an input error, not a result."""
 
-    @pytest.mark.parametrize("level", ["1e-8", "1e-9"])
-    def test_non_positive_p_min_exit_2(self, run_cli, level):
-        res = run_cli("minimize", "--x", "1", "--gamma", level, "--omega", level)
+    # the error names the working point of the last ladder level
+    @pytest.mark.parametrize("level, levels, gamma_omega", [
+        ("1e-8", "2", "1e-18"),
+        ("1e-9", "2", "1.0000000000000004e-20"),
+        ("1e-9", "1", "1e-18"),
+    ])
+    def test_non_positive_p_min_exit_2(self, run_cli, level, levels, gamma_omega):
+        res = run_cli("minimize", "--x", "1", "--gamma", level, "--omega", level,
+                      "--refine-levels", levels)
         assert res.returncode == 2
         assert res.stdout == ""
         (line,) = res.stderr.splitlines()
         assert line.startswith("error: p_min = ")
-        assert "is not positive at gamma*omega = " in line
+        assert f" is not positive at gamma*omega = {gamma_omega}: " in line
         assert "resolves absorption only to about 2.220446049250313e-16" in line
-
-    def test_single_level_names_its_own_working_point(self, run_cli):
-        res = run_cli("minimize", "--x", "1", "--gamma", "1e-9", "--omega", "1e-9",
-                      "--refine-levels", "1")
-        assert res.returncode == 2
-        assert " is not positive at gamma*omega = 1e-18: " in res.stderr
 
 
 class TestNonFiniteInputs:
