@@ -38,8 +38,13 @@ def _emit(records: list, fmt: str, out: Optional[str]) -> None:
         lines = [json.dumps(dict(rec)) for rec in records]
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # main turns the ValueError into an error line and exit 2
+            reason = exc.strerror or exc
+            raise ValueError(f"cannot write --out {out!r}: {reason}") from None
     else:
         sys.stdout.write(text)
 
@@ -146,6 +151,23 @@ def cmd_minimize(args) -> int:
     return 0 if res.feasible else 3
 
 
+def _grid(x_min: float, x_max: float, points: int, log: bool) -> list:
+    """points ratios from x_min to x_max, both exact; equal steps in log10(x) if log.
+
+    The formulas of numpy's linspace and geomspace: the linear grid is the
+    same floats (for normal x), and the log grid differs only where numpy's
+    log10 and power round differently from the C library's.
+    """
+    if log:
+        lo = math.log10(x_min)
+        step = (math.log10(x_max) - lo) / (points - 1)
+        inner = [10.0 ** (k * step + lo) for k in range(1, points - 1)]
+    else:
+        step = (x_max - x_min) / (points - 1)
+        inner = [k * step + x_min for k in range(1, points - 1)]
+    return [x_min, *inner, x_max]
+
+
 def cmd_sweep(args) -> int:
     if not args.x_min < args.x_max:
         return _fail(f"--x-min must be below --x-max, got {args.x_min} >= {args.x_max}")
@@ -155,13 +177,8 @@ def cmd_sweep(args) -> int:
         return _fail("--jobs must be at least 1")
     if args.x_min <= 0:
         return _fail("--x-min must be positive")
-    import numpy as np  # only the grid needs it; keeps other subcommands light
-
-    if args.log:
-        grid = np.geomspace(args.x_min, args.x_max, args.points)
-    else:
-        grid = np.linspace(args.x_min, args.x_max, args.points)
-    rows = optimizer.sweep([float(x) for x in grid], jobs=args.jobs)
+    grid = _grid(args.x_min, args.x_max, args.points, args.log)
+    rows = optimizer.sweep(grid, jobs=args.jobs)
     records = [
         [
             ("x", row.x),

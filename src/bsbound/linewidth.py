@@ -121,16 +121,26 @@ def scaled_linewidth_bound(ctx: DecayContext, omega_tilde: float) -> float:
     (4 pi^2 / n_vt) * omega_tilde^3 * eta (eta^2 - 1) (3 eta^2/(2 eta^2+1))^2.
     Algebraically identical to chaining the free-space rate, the dipole
     relation, and the local-field factor with consistent unscaled inputs.
+    Raises ValueError when the bound overflows.
     """
     if omega_tilde <= 0:
         raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
     eta = ctx.eta
-    return (
-        4.0 * math.pi**2 / ctx.n_vt
-        * omega_tilde**3
-        * eta * (eta**2 - 1.0)
-        * (3.0 * eta**2 / (2.0 * eta**2 + 1.0)) ** 2
-    )
+    try:
+        bound = (
+            4.0 * math.pi**2 / ctx.n_vt
+            * omega_tilde**3
+            * eta * (eta**2 - 1.0)
+            * (3.0 * eta**2 / (2.0 * eta**2 + 1.0)) ** 2
+        )
+    except OverflowError:  # a float ** raises where * would give inf
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"line-width bound overflows at omega_tilde={omega_tilde!r}, "
+            f"n_vt={ctx.n_vt!r}, eta={eta!r}"
+        )
+    return bound
 
 
 def min_absorption_probability(
@@ -140,8 +150,15 @@ def min_absorption_probability(
 
     Equals alpha * omega_tilde * scaled_linewidth_bound(ctx, omega_tilde),
     hence scales exactly as omega_tilde^4.  alpha and ctx.eta must come
-    from the same minimization (eta = sqrt(eps_s_star)).
+    from the same minimization (eta = sqrt(eps_s_star)).  Raises ValueError
+    when the probability overflows.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return alpha * omega_tilde * scaled_linewidth_bound(ctx, omega_tilde)
+    p_min = alpha * omega_tilde * scaled_linewidth_bound(ctx, omega_tilde)
+    if not math.isfinite(p_min):
+        raise ValueError(
+            f"minimal absorption probability overflows at alpha={alpha!r}, "
+            f"omega_tilde={omega_tilde!r}"
+        )
+    return p_min

@@ -107,6 +107,11 @@ class MinimizeConfig(
         lo, hi = eps_s_range
         if not (1.0 < lo < hi):
             raise ValueError(f"eps_s_range must satisfy 1 < lo < hi, got {eps_s_range}")
+        if not math.isfinite((hi - 1.0) / (lo - 1.0)):
+            # the eps_s scan is geometric in eps_s - 1 with this ratio
+            raise ValueError(
+                f"eps_s_range {eps_s_range} is too wide: (hi - 1)/(lo - 1) overflows"
+            )
         return self
 
 

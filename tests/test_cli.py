@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bsbound import cli, optimizer
@@ -100,6 +101,14 @@ class TestMinimize:
         assert res.stderr.startswith("error: gamma_tilde * omega_tilde underflows to zero")
         assert "Traceback" not in res.stderr
 
+    def test_overflowing_eps_s_ratio_exit_2(self, run_cli):
+        # (eps_s_max - 1)/(1e-6) overflows: the scan would put every slice
+        # but the first at eps_s = inf and report an infeasible ratio
+        res = run_cli("minimize", "--x", "1", "--eps-s-max", "2e302")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "eps_s_range" in res.stderr and "Traceback" not in res.stderr
+
     def test_json_format_keys(self, run_cli):
         res = run_cli("minimize", "--x", "1", "--refine-levels", "1", "--format", "json")
         rec = json.loads(res.stdout)
@@ -144,6 +153,39 @@ class TestSweep:
             rec = json.loads(line)
             assert list(rec) == ["x", "alpha", "eps_s", "d", "p_min", "feasible"]
 
+    def test_linear_grid_is_linspace(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(3000):
+            lo = 10.0 ** rng.uniform(-4, 6)
+            hi = lo + 10.0 ** rng.uniform(-4, 6)
+            points = int(rng.integers(2, 60))
+            if not lo < hi:
+                continue
+            assert cli._grid(lo, hi, points, False) == np.linspace(lo, hi, points).tolist()
+
+    def test_log_grid_exact_ends_and_within_two_ulp_of_geomspace(self):
+        # numpy's log10 and power may round differently from the C library's.
+        # power alone moves a point by at most an ulp.  A log10(x_min) one ulp
+        # off moves every interior point by up to ln(10)*|log10 x| ulp, so the
+        # comparison with geomspace itself is made where the log10s agree.
+        rng = np.random.default_rng(20261019)
+        compared = 0
+        for _ in range(3000):
+            lo = 10.0 ** rng.uniform(-4, 6)
+            hi = lo * 10.0 ** rng.uniform(1e-3, 8)
+            points = int(rng.integers(2, 60))
+            grid = cli._grid(lo, hi, points, True)
+            assert len(grid) == points
+            assert grid[0] == lo and grid[-1] == hi
+            logs = np.linspace(math.log10(lo), math.log10(hi), points)
+            for x, ref in zip(grid[1:-1], np.power(10.0, logs[1:-1]).tolist()):
+                assert abs(x - ref) <= 2 * math.ulp(ref)
+            if np.log10(lo) == math.log10(lo) and np.log10(hi) == math.log10(hi):
+                compared += 1
+                for x, ref in zip(grid, np.geomspace(lo, hi, points).tolist()):
+                    assert abs(x - ref) <= 2 * math.ulp(ref)
+        assert compared > 2000
+
     def test_bad_grid_rejected(self, run_cli):
         res = run_cli("sweep", "--x-min", "2", "--x-max", "1", "--points", "3")
         assert res.returncode == 2
@@ -174,6 +216,15 @@ class TestBound:
     def test_infeasible_exit_3(self, run_cli):
         res = run_cli("bound", "--x", "1e-4", "--omega", "0.1")
         assert res.returncode == 3
+
+    @pytest.mark.parametrize("omega", ["1e100", "1e200"])
+    def test_overflowing_omega_exit_2(self, run_cli, omega):
+        # 1e200 overflows the line-width bound, 1e100 only p_min
+        res = run_cli("bound", "--x", "1", "--omega", omega)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "error: " in res.stderr and "overflows" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestScalingWarning:
@@ -256,6 +307,20 @@ class TestNonFiniteInputs:
         assert "argument --x: invalid float value: 'abc'" in res.stderr
 
 
+class TestOutputFile:
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exit_2(self, run_cli, tmp_path, where):
+        out = tmp_path / "no" / "x.csv" if where == "missing_dir" else tmp_path
+        res = run_cli(
+            "eval", "--eps-s", "6.2", "--gamma", "1e-3", "--omega", "1e-3",
+            "--thickness", "500", "--out", str(out),
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: cannot write --out ")
+        assert "Traceback" not in res.stderr
+
+
 class TestImports:
     def test_cli_import_loads_neither_scipy_nor_numpy(self, cli_env):
         # dataclasses would pull in inspect, ast, dis and tokenize
@@ -269,6 +334,26 @@ class TestImports:
             env=cli_env, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_sweep_and_sum_rule_run_without_numpy(self, cli_env):
+        # None in sys.modules makes every `import numpy` raise ImportError
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from bsbound import cli\n"
+            "from bsbound.dielectric import DrudeLorentzModel, Resonance, "
+            "superconvergence_residual\n"
+            f"assert cli.main({make_goldens.CASES['sweep_small.csv']!r}) == 0\n"
+            "model = DrudeLorentzModel([Resonance(1.0, 1.0, 0.1)])\n"
+            "print(superconvergence_residual(model, 1e3))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env,
+        )
+        assert res.returncode == 0, res.stderr
+        golden = (GOLDEN / "sweep_small.csv").read_text()
+        assert res.stdout.startswith(golden)
+        assert 0.0 < float(res.stdout[len(golden):]) < 1e-9
 
 
 class TestMisc:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from bsbound.dielectric import (
+    _GAUSS_15,
     ComplexIndex,
     DrudeLorentzModel,
     QuadratureError,
@@ -166,6 +167,10 @@ class TestLowFrequencyApprox:
 
 
 class TestSumRule:
+    def test_rule_matches_numpy_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert np.max(np.abs(np.array(_GAUSS_15) - np.column_stack([nodes, weights]))) <= 1e-15
+
     def test_vacuum_residual_is_zero(self):
         vacuum = DrudeLorentzModel([Resonance(1.0, 0.0, 0.1)])
         assert superconvergence_residual(vacuum, 1e3) == 0.0

@@ -132,6 +132,18 @@ class TestMinAbsorption:
     def test_positive_outputs(self):
         assert min_absorption_probability(0.3, self.CTX, 0.05) > 0.0
 
+    @pytest.mark.parametrize("omega", [1e100, 1e200])
+    def test_overflow_rejected(self, omega):
+        # 1e200: omega^3 overflows in the bound; 1e100: only the product does
+        with pytest.raises(ValueError, match="overflows"):
+            min_absorption_probability(0.9, self.CTX, omega)
+
+    def test_bound_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            scaled_linewidth_bound(self.CTX, 1e200)
+        with pytest.raises(ValueError, match="overflows"):
+            scaled_linewidth_bound(DecayContext(n_vt=1e-300, eta=2.0), 1e3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DecayContext(n_vt=0.0, eta=2.0)

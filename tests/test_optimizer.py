@@ -152,6 +152,11 @@ class TestMinimize:
         with pytest.raises(ValueError):
             MinimizeConfig(x_target=1.0, eps_s_range=(0.5, 10.0))
 
+    def test_overflowing_eps_s_ratio_rejected(self):
+        with pytest.raises(ValueError, match="too wide"):
+            MinimizeConfig(x_target=1.0, eps_s_range=(1.0 + 1e-6, 2e302))
+        MinimizeConfig(x_target=1.0, eps_s_range=(1.0 + 1e-6, 1e300))
+
     def test_underflowing_working_point_rejected(self):
         with pytest.raises(ValueError, match="underflows to zero"):
             MinimizeConfig(1.0, gamma_tilde=1e-200, omega_tilde=1e-200)
