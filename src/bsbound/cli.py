@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -43,10 +44,13 @@ def _emit(records: list, fmt: str, out: Optional[str]) -> None:
                 fh.write(text)
         except OSError as exc:
             # main turns the ValueError into an error line and exit 2
-            reason = exc.strerror or exc
-            raise ValueError(f"cannot write --out {out!r}: {reason}") from None
+            raise ValueError(_cannot_write(out, exc)) from None
     else:
         sys.stdout.write(text)
+
+
+def _cannot_write(out: str, exc: OSError) -> str:
+    return f"cannot write --out {out!r}: {exc.strerror or exc}"
 
 
 def _fail(message: str) -> int:
@@ -68,7 +72,7 @@ def _minimize_with_levels(cfg: optimizer.MinimizeConfig, levels: int) -> tuple:
         gamma_omega = cfg.gamma_tilde * cfg.omega_tilde
     else:
         steps = optimizer.ladder(cfg.gamma_tilde, cfg.omega_tilde, levels)
-        extraction = optimizer.extract_alpha(cfg.x_target, steps, cfg)
+        extraction = optimizer.extract_alpha(cfg.x_target, steps, cfg.eps_s_range)
         alpha, drift, feasible = extraction.alpha, extraction.drift, extraction.feasible
         res, scaling_ok = extraction.results[-1], extraction.scaling_ok
         gamma_omega = steps[-1][0] * steps[-1][1]
@@ -126,7 +130,7 @@ def cmd_minimize(args) -> int:
             x_target=args.x,
             gamma_tilde=args.gamma,
             omega_tilde=args.omega,
-            eps_s_range=(1.0 + 1e-6, args.eps_s_max),
+            eps_s_range=(optimizer.EPS_S_RANGE[0], args.eps_s_max),
         )
         alpha, drift, res, _ = _minimize_with_levels(cfg, args.refine_levels)
     except ValueError as exc:
@@ -277,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--gamma", type=_finite, default=1e-3)
     p.add_argument("--omega", type=_finite, default=1e-3)
-    p.add_argument("--eps-s-max", dest="eps_s_max", type=_finite, default=1e3)
+    p.add_argument(
+        "--eps-s-max", dest="eps_s_max", type=_finite, default=optimizer.EPS_S_RANGE[1]
+    )
     p.add_argument("--refine-levels", dest="refine_levels", type=int, default=2)
     _add_io_flags(p)
     p.set_defaults(func=cmd_minimize)
@@ -313,10 +319,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         print("error: a subcommand is required", file=sys.stderr)
         return 2
+    out = args.out
+    created = bool(out) and not os.path.exists(out)
+    if out:
+        # an unwritable --out fails before any work; "a" keeps the bytes
+        try:
+            open(out, "a").close()
+        except OSError as exc:
+            return _fail(_cannot_write(out, exc))
     try:
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))
+    finally:
+        # a command that failed before writing leaves no new empty file
+        if created and os.path.isfile(out) and os.path.getsize(out) == 0:
+            os.remove(out)
 
 
 def app() -> None:

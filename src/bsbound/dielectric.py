@@ -213,13 +213,13 @@ def _gauss_panel(terms: list, a: float, b: float, m: int) -> float:
     return total
 
 
-def superconvergence_residual(
-    model: DrudeLorentzModel,
-    omega_max: float,
-    quadrature_points: int = 64,
-    tol: float = 1e-12,
-    max_subdivisions: int = 8192,
-) -> float:
+# see superconvergence_residual
+_QUAD_POINTS = 64
+_QUAD_TOL = 1e-12
+_MAX_SUBDIVISIONS = 8192
+
+
+def superconvergence_residual(model: DrudeLorentzModel, omega_max: float) -> float:
     """Tail-corrected residual of the sum rule for eta - 1.
 
     Integrates eta(omega) - 1 from 0 to omega_max with resonance-aware
@@ -227,33 +227,31 @@ def superconvergence_residual(
     estimate -sum(omega_p^2) / (2*omega_max) from the large-omega
     asymptote.  The result approaches zero as omega_max grows.
 
-    quadrature_points sets the initial subinterval count per panel; each
-    panel is doubled until successive refinements agree within tol (split
-    across panels).  Raises QuadratureError if a panel fails to settle
-    before max_subdivisions.
+    Each panel starts at _QUAD_POINTS subintervals and is doubled until
+    successive refinements agree within _QUAD_TOL (split across panels).
+    Raises QuadratureError if a panel fails to settle before
+    _MAX_SUBDIVISIONS.
     """
     if omega_max <= 0:
         raise ValueError(f"omega_max must be positive, got {omega_max}")
-    if quadrature_points < 1:
-        raise ValueError("quadrature_points must be at least 1")
     breaks = {0.0, float(omega_max)}
     for r in model.resonances:
         for b in (r.omega_t - 10.0 * r.gamma, r.omega_t, r.omega_t + 10.0 * r.gamma):
             if 0.0 < b < omega_max:
                 breaks.add(b)
     edges = sorted(breaks)
-    panel_tol = tol / (len(edges) - 1)
+    panel_tol = _QUAD_TOL / (len(edges) - 1)
     terms = [(r.omega_t**2, r.omega_p**2, r.gamma) for r in model.resonances]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        m = quadrature_points
+        m = _QUAD_POINTS
         prev = _gauss_panel(terms, a, b, m)
         while True:
             m *= 2
             cur = _gauss_panel(terms, a, b, m)
             if abs(cur - prev) <= panel_tol:
                 break
-            if m > max_subdivisions:
+            if m > _MAX_SUBDIVISIONS:
                 raise QuadratureError(
                     f"sum-rule panel [{a:g}, {b:g}] did not converge: "
                     f"last refinement changed by {abs(cur - prev):.3e}"

@@ -36,6 +36,7 @@ __all__ = [
     "sweep",
     "ladder",
     "DEFAULT_LEVELS",
+    "EPS_S_RANGE",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -46,9 +47,10 @@ _BRANCHES = ("first", "second")
 _PHI_LO = 1e-12
 _PHI_HI = math.pi * (1.0 - 1e-12)
 
-# absolute and relative tolerances of the phase root solve
+# absolute and relative tolerances and iteration cap of the phase root solve
 _XTOL = 1e-15
 _RTOL = 8.9e-16
+_MAXITER = 100
 
 # relative bracket width at which both golden-section searches stop
 _GOLDEN_RTOL = 1e-7
@@ -69,6 +71,8 @@ def ladder(
 
 # default refinement ladder for alpha extraction
 DEFAULT_LEVELS = ladder(1e-3, 1e-3, 2)
+# default (lo, hi) of the eps_s search
+EPS_S_RANGE = (1.0 + 1e-6, 1e3)
 
 
 class MinimizeConfig(
@@ -86,7 +90,7 @@ class MinimizeConfig(
         x_target: float,
         gamma_tilde: float = 1e-3,
         omega_tilde: float = 1e-3,
-        eps_s_range: tuple[float, float] = (1.0 + 1e-6, 1e3),
+        eps_s_range: tuple[float, float] = EPS_S_RANGE,
     ) -> "MinimizeConfig":
         self = tuple.__new__(cls, (x_target, gamma_tilde, omega_tilde, eps_s_range))
         values = (x_target, gamma_tilde, omega_tilde, *eps_s_range)
@@ -164,7 +168,6 @@ class _Probe:
     """Response of one eps_s slice as a function of phase, with eval count."""
 
     def __init__(self, eps_s: float, gamma_tilde: float, omega_tilde: float) -> None:
-        self.eps_s = eps_s
         self.omega_tilde = omega_tilde
         self.eta0 = math.sqrt(eps_s)
         self.index = working_index(eps_s, gamma_tilde, omega_tilde)
@@ -212,28 +215,21 @@ def _nan_value(x: float) -> ValueError:
 
 
 def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    maxiter: int = 100,
-    fa: Optional[float] = None,
-    fb: Optional[float] = None,
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
 ) -> float:
     """Root of f in [a, b] by Brent's method, as scipy.optimize.brentq.
 
     A line-for-line port of scipy's brentq.c at xtol=_XTOL, rtol=_RTOL:
     the same steps in the same floating-point order, so both return the
-    same float for the same f.  f(a) and f(b) must differ in sign; a
-    caller that already has them passes them as fa and fb, and f is not
-    called there.  A NaN value of f raises ValueError; no convergence
-    within maxiter iterations raises RuntimeError.
+    same float for the same f.  fa = f(a) and fb = f(b) must differ in
+    sign; f is not called at a or b.  A NaN value of f raises ValueError;
+    no convergence within _MAXITER iterations raises RuntimeError.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre) if fa is None else fa
+    fpre, fcur = fa, fb
     if math.isnan(fpre):
         raise _nan_value(xpre)
-    fcur = f(xcur) if fb is None else fb
     if math.isnan(fcur):
         raise _nan_value(xcur)
     if fpre == 0:
@@ -242,7 +238,7 @@ def brentq(
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk = xpre
             fblk = fpre
@@ -283,7 +279,7 @@ def brentq(
         fcur = f(xcur)
         if math.isnan(fcur):
             raise _nan_value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
 def _branch_roots(
@@ -314,7 +310,7 @@ def _branch_roots(
             a, ha, b, hb = phi_valley, h_valley, _PHI_HI, h(_PHI_HI)
         if ha * hb > 0.0:
             continue  # target above this branch's reachable range
-        roots[branch] = brentq(h, a, b, fa=ha, fb=hb)
+        roots[branch] = brentq(h, a, b, ha, hb)
     return roots
 
 
@@ -350,24 +346,6 @@ def solve_thickness_for_ratio(
     return probe.d_of_phi(roots[branch])
 
 
-def _constrained_p(
-    probe: _Probe, x_target: float, branches: Sequence[str]
-) -> dict[str, tuple[float, float, float]]:
-    """branch -> (phi, p, residual) at the constraint, checked against tolerance."""
-    constraint_rtol = MinimizeConfig.constraint_rtol
-    out: dict[str, tuple[float, float, float]] = {}
-    for branch, phi in _branch_roots(probe, x_target, branches).items():
-        p, x = probe.response(phi)
-        residual = abs(x - x_target) / x_target
-        if residual > constraint_rtol:
-            raise RuntimeError(
-                f"inner solve left residual {residual:.3e} > {constraint_rtol:.1e} "
-                f"at eps_s={probe.eps_s}, x={x_target}, branch={branch}"
-            )
-        out[branch] = (phi, p, residual)
-    return out
-
-
 def _scan_grid(lo: float, hi: float, points: int) -> list[float]:
     # geometric in (eps_s - 1): resolves both the near-unity region probed
     # by large x and the large-eps_s region probed by small x
@@ -398,79 +376,80 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     """
     lo, hi = config.eps_s_range
     grid = _scan_grid(lo, hi, _SCAN_POINTS)
+    x_target = config.x_target
     evals = 0
     scan_feasible = 0
 
-    def solve(eps: float, branches: Sequence[str]) -> tuple[_Probe, dict]:
-        """(probe, branch -> (phi, p, residual)) of the eps_s slice."""
+    def solve(eps: float, branches: Sequence[str]) -> dict:
+        """branch -> (p, probe, phi, residual) at the constraint in the eps_s slice."""
         nonlocal evals
         probe = _Probe(eps, config.gamma_tilde, config.omega_tilde)
-        sols = _constrained_p(probe, config.x_target, branches)
+        sols = {}
+        for branch, phi in _branch_roots(probe, x_target, branches).items():
+            p, x = probe.response(phi)
+            residual = abs(x - x_target) / x_target
+            if residual > config.constraint_rtol:
+                raise RuntimeError(
+                    f"inner solve left residual {residual:.3e} > "
+                    f"{config.constraint_rtol:.1e} at eps_s={eps}, x={x_target}, "
+                    f"branch={branch}"
+                )
+            sols[branch] = (p, probe, phi, residual)
         evals += probe.evals
-        return probe, sols
+        return sols
 
     # lossless feasibility with 5% margin: loss shifts the reachable ratio
     # by O(gamma*omega), far below the margin
     def surely_infeasible(eps: float) -> bool:
-        return 4.0 * eps / (config.x_target * (eps - 1.0) ** 2) > 1.05
+        return 4.0 * eps / (x_target * (eps - 1.0) ** 2) > 1.05
 
-    best_idx: dict[str, int] = {}
-    best_p: dict[str, float] = {}
+    # branch -> (p, slice index) of the branch's lowest p in the scan
+    best: dict[str, tuple[float, int]] = {}
     for i, eps in enumerate(grid):
         if surely_infeasible(eps):
             continue
-        _, sols = solve(eps, _BRANCHES)
-        if sols:
-            scan_feasible += 1
-        for branch, (_, p, _) in sols.items():
-            if branch not in best_p or p < best_p[branch]:
-                best_p[branch] = p
-                best_idx[branch] = i
+        sols = solve(eps, _BRANCHES)
+        scan_feasible += bool(sols)
+        for branch, (p, *_) in sols.items():
+            if branch not in best or p < best[branch][0]:
+                best[branch] = (p, i)
 
-    if not best_idx:
+    if not best:
         return _infeasible(scan_feasible, 0, evals)
 
     refine_iters = 0
-    # (branch, eps_s) -> (probe, phi, p, residual) of each refined slice; the
-    # golden search returns one of its evaluated points, read back below
-    solved: dict[tuple[str, float], tuple[_Probe, float, float, float]] = {}
-    candidates: dict[str, tuple[float, float]] = {}
+    # (p, eps_s, branch, probe, phi, residual) of each branch's refined optimum
+    optima = []
     for branch in _BRANCHES:
-        if branch not in best_idx:
+        if branch not in best:
             continue
-        i = best_idx[branch]
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
+        i = best[branch][1]
+        # eps_s -> solution; the golden search returns one of its points
+        refined: dict[float, tuple] = {}
 
-        def p_of_eps(eps: float, branch: str = branch) -> float:
-            probe, sols = solve(eps, (branch,))
-            if branch not in sols:
+        def p_of_eps(eps: float) -> float:
+            sol = solve(eps, (branch,)).get(branch)
+            if sol is None:
                 return math.inf
-            phi, p, residual = sols[branch]
-            solved[branch, eps] = (probe, phi, p, residual)
-            return p
+            refined[eps] = sol
+            return sol[0]
 
-        eps_star, p_star, iters = _golden_min(p_of_eps, a, b)
+        eps_star, p_star, iters = _golden_min(
+            p_of_eps, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        )
         refine_iters += iters
         if math.isfinite(p_star):
-            candidates[branch] = (eps_star, p_star)
+            _, probe, phi, residual = refined[eps_star]
+            optima.append((p_star, eps_star, branch, probe, phi, residual))
 
-    if not candidates:
+    if not optima:
         return _infeasible(scan_feasible, refine_iters, evals)
 
-    # branch selection: smaller p wins, ties go to the thinner slab (first)
-    order = [b for b in _BRANCHES if b in candidates]
-    chosen = order[0]
-    for branch in order[1:]:
-        p_c, p_b = candidates[chosen][1], candidates[branch][1]
-        if p_b < p_c * (1.0 - _OBJECTIVE_RTOL):
-            chosen = branch
-    rejected_p = min(
-        (candidates[b][1] for b in order if b != chosen), default=math.nan
-    )
-
-    eps_star = candidates[chosen][0]
-    probe, phi, p_min, residual = solved[chosen, eps_star]
+    # smaller p wins; ties within the objective tolerance go to the thinner
+    # slab, which is the first branch
+    if len(optima) == 2 and optima[1][0] < optima[0][0] * (1.0 - _OBJECTIVE_RTOL):
+        optima.reverse()
+    p_min, eps_star, chosen, probe, phi, residual = optima[0]
     d_star = probe.d_of_phi(phi)
     # report the actual optical phase at the working frequency
     phi_star = probe.index.eta * config.omega_tilde * d_star
@@ -487,7 +466,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
             scan_feasible=scan_feasible,
             refine_iterations=refine_iters,
             slab_evaluations=evals,
-            rejected_branch_p=rejected_p,
+            rejected_branch_p=optima[1][0] if len(optima) == 2 else math.nan,
         ),
     )
 
@@ -495,7 +474,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
 def extract_alpha(
     x_target: float,
     levels: Sequence[tuple[float, float]] = DEFAULT_LEVELS,
-    config: Optional[MinimizeConfig] = None,
+    eps_s_range: tuple[float, float] = EPS_S_RANGE,
 ) -> AlphaExtraction:
     """alpha from repeated minimization at shrinking (gamma, omega) levels.
 
@@ -505,10 +484,9 @@ def extract_alpha(
     """
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
-    base = config if config is not None else MinimizeConfig(x_target=x_target)
     # every level is validated before any is solved
     configs = [
-        MinimizeConfig(x_target, gamma_tilde, omega_tilde, base.eps_s_range)
+        MinimizeConfig(x_target, gamma_tilde, omega_tilde, eps_s_range)
         for gamma_tilde, omega_tilde in levels
     ]
     results = tuple(minimize_absorption(cfg) for cfg in configs)

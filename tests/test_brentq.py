@@ -35,7 +35,7 @@ def test_matches_scipy_bit_for_bit():
     slices = list(branch_slices())
     assert len(slices) >= 50
     for h, a, b in slices:
-        assert optimizer.brentq(h, a, b) == scipy_brentq(h, a, b)
+        assert optimizer.brentq(h, a, b, h(a), h(b)) == scipy_brentq(h, a, b)
 
 
 def test_analytic_functions_match_scipy():
@@ -44,27 +44,29 @@ def test_analytic_functions_match_scipy():
         (lambda v: math.cos(v) - v, -2.0, 3.0),
         (lambda v: math.exp(v) - 1e4, -50.0, 50.0),
     ):
-        assert optimizer.brentq(f, a, b) == scipy_brentq(f, a, b)
+        assert optimizer.brentq(f, a, b, f(a), f(b)) == scipy_brentq(f, a, b)
 
 
 def test_endpoint_root_is_returned():
-    assert optimizer.brentq(lambda v: v - 2.0, 2.0, 5.0) == 2.0
-    assert optimizer.brentq(lambda v: v - 5.0, 2.0, 5.0) == 5.0
+    assert optimizer.brentq(lambda v: v - 2.0, 2.0, 5.0, 0.0, 3.0) == 2.0
+    assert optimizer.brentq(lambda v: v - 5.0, 2.0, 5.0, -3.0, 0.0) == 5.0
 
 
 def test_same_sign_rejected():
     with pytest.raises(ValueError, match="different signs"):
-        optimizer.brentq(lambda v: v + 1.0, 0.0, 1.0)
+        optimizer.brentq(lambda v: v + 1.0, 0.0, 1.0, 1.0, 2.0)
 
 
 def test_nan_value_raises_value_error():
     with pytest.raises(ValueError, match="NaN"):
-        optimizer.brentq(lambda v: math.nan if v > 0.5 else v - 0.3, 0.0, 1.0)
+        # finite end values: the NaN comes from the first inner step
+        optimizer.brentq(lambda v: math.nan, 0.0, 1.0, -0.3, 0.7)
 
 
-def test_running_out_of_iterations_raises_runtime_error():
+def test_running_out_of_iterations_raises_runtime_error(monkeypatch):
+    monkeypatch.setattr(optimizer, "_MAXITER", 2)
     with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
-        optimizer.brentq(lambda v: v**3 - 0.3, 0.0, 1.0, maxiter=2)
+        optimizer.brentq(lambda v: v**3 - 0.3, 0.0, 1.0, -0.3, 0.7)
 
 
 def test_known_endpoint_values_save_two_calls():
@@ -77,16 +79,12 @@ def test_known_endpoint_values_save_two_calls():
             calls.append(v)
             return h(v)
 
-        root = optimizer.brentq(counted, a, b)
-        plain_calls = len(calls)
-        calls.clear()
-        assert optimizer.brentq(counted, a, b, fa=h(a), fb=h(b)) == root
-        assert len(calls) == plain_calls - 2
-        assert a not in calls and b not in calls
+        assert optimizer.brentq(counted, a, b, h(a), h(b)) == scipy_brentq(h, a, b)
+        assert calls and a not in calls and b not in calls
 
 
 def test_nan_endpoint_value_raises_value_error():
     with pytest.raises(ValueError, match="NaN"):
-        optimizer.brentq(lambda v: v - 0.3, 0.0, 1.0, fa=math.nan)
+        optimizer.brentq(lambda v: v - 0.3, 0.0, 1.0, math.nan, 0.7)
     with pytest.raises(ValueError, match="NaN"):
-        optimizer.brentq(lambda v: v - 0.3, 0.0, 1.0, fb=math.nan)
+        optimizer.brentq(lambda v: v - 0.3, 0.0, 1.0, -0.3, math.nan)

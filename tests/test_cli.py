@@ -90,6 +90,13 @@ class TestMinimize:
         rec = parse_csv_record(res.stdout)
         assert rec["alpha"] < 0.05
 
+    @pytest.mark.xfail(strict=True, reason="_PHI_LO = 1e-12 caps x(phi) on the first branch")
+    def test_huge_ratio_is_feasible(self, run_cli):
+        # x(phi) diverges as phi -> 0, so every ratio is reachable; the solver
+        # starts its phase search at _PHI_LO and reports x = 1e38 infeasible
+        res = run_cli("minimize", "--x", "1e38", "--refine-levels", "1")
+        assert parse_csv_record(res.stdout)["feasible"] is True
+
     @pytest.mark.parametrize("args", [
         ("--gamma", "1e-200", "--omega", "1e-200", "--refine-levels", "1"),
         ("--refine-levels", "200"),  # the ladder underflows from level 159 on
@@ -319,6 +326,35 @@ class TestOutputFile:
         assert res.stdout == ""
         assert res.stderr.startswith("error: cannot write --out ")
         assert "Traceback" not in res.stderr
+
+    def test_unwritable_out_fails_before_any_work(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(optimizer, "sweep", pytest.fail)
+        out = tmp_path / "no" / "x.csv"
+        args = ["sweep", "--x-min", "0.5", "--x-max", "2", "--points", "20",
+                "--out", str(out)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --out ")
+
+    # exit 2 after --out was checked: from the command itself, and from the solve
+    FAILURES = [
+        ["sweep", "--x-min", "1", "--x-max", "2", "--points", "1"],
+        ["minimize", "--x", "1", "--gamma", "1e-9", "--omega", "1e-9"],
+    ]
+
+    @pytest.mark.parametrize("args", FAILURES)
+    def test_failed_command_keeps_existing_out(self, run_cli, tmp_path, args):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"earlier,output\n")
+        res = run_cli(*args, "--out", str(out))
+        assert res.returncode == 2
+        assert out.read_bytes() == b"earlier,output\n"
+
+    @pytest.mark.parametrize("args", FAILURES)
+    def test_failed_command_leaves_no_new_file(self, run_cli, tmp_path, args):
+        out = tmp_path / "x.csv"
+        res = run_cli(*args, "--out", str(out))
+        assert res.returncode == 2
+        assert not out.exists()
 
 
 class TestImports:

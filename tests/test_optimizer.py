@@ -192,9 +192,7 @@ class TestExtractAlpha:
             extract_alpha(1.0, levels=((1e-3, 1e-3),))
 
     def test_propagates_infeasibility(self):
-        ex = extract_alpha(
-            1.0, config=MinimizeConfig(x_target=1.0, eps_s_range=(1.0 + 1e-6, 5.0))
-        )
+        ex = extract_alpha(1.0, eps_s_range=(1.0 + 1e-6, 5.0))
         assert not ex.feasible
         assert math.isnan(ex.alpha)
 
