@@ -53,56 +53,47 @@ def _cannot_write(out: str, exc: OSError) -> str:
     return f"cannot write --out {out!r}: {exc.strerror or exc}"
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _extract(x: float, levels: Sequence, eps_s_range: tuple) -> optimizer.AlphaExtraction:
+    """extract_alpha over `levels`, as the CLI reports it.
 
-
-def _minimize_with_levels(cfg: optimizer.MinimizeConfig, levels: int) -> tuple:
-    """(alpha, drift, final MinimizeResult, feasible) over `levels` ladder levels.
-
-    The ladder starts at cfg's working point; one level reports a NaN drift.
     A reported p_min <= 0 raises ValueError: the working point is below the
-    resolution of p.  A feasible ladder whose drift breaks the separable
-    scaling gets a warning on stderr.
+    resolution of p.  A drift that breaks the separable scaling gets a
+    warning on stderr; one level measures no drift.
     """
-    if levels == 1:
-        res = optimizer.minimize_absorption(cfg)
-        alpha, drift, feasible, scaling_ok = res.alpha, math.nan, res.feasible, True
-        gamma_omega = cfg.gamma_tilde * cfg.omega_tilde
-    else:
-        steps = optimizer.ladder(cfg.gamma_tilde, cfg.omega_tilde, levels)
-        extraction = optimizer.extract_alpha(cfg.x_target, steps, cfg.eps_s_range)
-        alpha, drift, feasible = extraction.alpha, extraction.drift, extraction.feasible
-        res, scaling_ok = extraction.results[-1], extraction.scaling_ok
-        gamma_omega = steps[-1][0] * steps[-1][1]
-    if res.p_min <= 0.0:
+    ex = optimizer.extract_alpha(x, levels, eps_s_range)
+    p_min = ex.results[-1].p_min
+    if p_min <= 0.0:
+        gamma, omega = levels[-1]
         raise ValueError(
-            f"p_min = {res.p_min!r} is not positive at gamma*omega = {gamma_omega!r}: "
+            f"p_min = {p_min!r} is not positive at gamma*omega = {gamma * omega!r}: "
             f"p = 1 - |t|^2 - |r|^2 resolves absorption only to about "
             f"{sys.float_info.epsilon!r}, so raise --gamma or --omega"
         )
-    if feasible and not scaling_ok:
+    if ex.drift > optimizer._DRIFT_TOL:
         print(
-            f"warning: alpha_drift = {drift!r} exceeds "
+            f"warning: alpha_drift = {ex.drift!r} exceeds "
             f"{optimizer._DRIFT_TOL!r}; alpha does not scale as p/(gamma*omega) "
             "at this working point",
             file=sys.stderr,
         )
-    return alpha, drift, res, feasible
+    return ex
 
 
-def cmd_eval(args) -> int:
-    if args.gamma == 0.0 and not args.allow_lossless:
-        return _fail("gamma = 0 requires --allow-lossless")
+def _evaluate(params: slab.ScaledSlabParams) -> slab.SlabResponse:
+    """slab.evaluate; a response beyond float range, as at |n| >~ 4e16, is a ValueError."""
     try:
-        params = slab.ScaledSlabParams(
-            omega_tilde=args.omega, gamma_tilde=args.gamma,
-            d=args.thickness, eps_s=args.eps_s,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    resp = slab.evaluate(params)
+        return slab.evaluate(params)
+    except ArithmeticError as exc:
+        raise ValueError(f"slab response out of float range at {params}: {exc}") from None
+
+
+def cmd_eval(args) -> tuple[list, int]:
+    if args.gamma == 0.0 and not args.allow_lossless:
+        raise ValueError("gamma = 0 requires --allow-lossless")
+    resp = _evaluate(slab.ScaledSlabParams(
+        omega_tilde=args.omega, gamma_tilde=args.gamma,
+        d=args.thickness, eps_s=args.eps_s,
+    ))
     record = [
         ("eps_s", args.eps_s),
         ("gamma", args.gamma),
@@ -118,41 +109,32 @@ def cmd_eval(args) -> int:
         ("p", resp.p),
         ("x", resp.x),
     ]
-    _emit([record], args.format, args.out)
-    return 0
+    return [record], 0
 
 
-def cmd_minimize(args) -> int:
+def cmd_minimize(args) -> tuple[list, int]:
     if args.refine_levels < 1:
-        return _fail("--refine-levels must be at least 1")
-    try:
-        cfg = optimizer.MinimizeConfig(
-            x_target=args.x,
-            gamma_tilde=args.gamma,
-            omega_tilde=args.omega,
-            eps_s_range=(optimizer.EPS_S_RANGE[0], args.eps_s_max),
-        )
-        alpha, drift, res, _ = _minimize_with_levels(cfg, args.refine_levels)
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError("--refine-levels must be at least 1")
+    levels = optimizer.ladder(args.gamma, args.omega, args.refine_levels)
+    ex = _extract(args.x, levels, (optimizer.EPS_S_RANGE[0], args.eps_s_max))
+    res = ex.results[-1]
     record = [
         ("x", args.x),
         ("gamma", args.gamma),
         ("omega", args.omega),
         ("eps_s_max", args.eps_s_max),
         ("refine_levels", args.refine_levels),
-        ("alpha", alpha),
-        ("alpha_drift", drift),
+        ("alpha", ex.alpha),
+        ("alpha_drift", ex.drift),
         ("eps_s", res.eps_s_star),
         ("d", res.d_star),
         ("p_min", res.p_min),
         ("phi", res.phi_star),
         ("branch", res.branch),
-        ("feasible", res.feasible),
+        ("feasible", ex.feasible),
         ("constraint_residual", res.diagnostics.constraint_residual),
     ]
-    _emit([record], args.format, args.out)
-    return 0 if res.feasible else 3
+    return [record], 0 if ex.feasible else 3
 
 
 def _grid(x_min: float, x_max: float, points: int, log: bool) -> list:
@@ -172,15 +154,15 @@ def _grid(x_min: float, x_max: float, points: int, log: bool) -> list:
     return [x_min, *inner, x_max]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[list, int]:
     if not args.x_min < args.x_max:
-        return _fail(f"--x-min must be below --x-max, got {args.x_min} >= {args.x_max}")
+        raise ValueError(f"--x-min must be below --x-max, got {args.x_min} >= {args.x_max}")
     if args.points < 2:
-        return _fail("--points must be at least 2")
+        raise ValueError("--points must be at least 2")
     if args.jobs < 1:
-        return _fail("--jobs must be at least 1")
+        raise ValueError("--jobs must be at least 1")
     if args.x_min <= 0:
-        return _fail("--x-min must be positive")
+        raise ValueError("--x-min must be positive")
     grid = _grid(args.x_min, args.x_max, args.points, args.log)
     rows = optimizer.sweep(grid, jobs=args.jobs)
     records = [
@@ -194,31 +176,27 @@ def cmd_sweep(args) -> int:
         ]
         for row in rows
     ]
-    _emit(records, args.format, args.out)
-    return 0
+    return records, 0
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple[list, int]:
     if args.nvt <= 0:
-        return _fail(f"--nvt must be positive, got {args.nvt}")
+        raise ValueError(f"--nvt must be positive, got {args.nvt}")
     if args.omega <= 0:
-        return _fail(f"--omega must be positive, got {args.omega}")
+        raise ValueError(f"--omega must be positive, got {args.omega}")
     if args.omega > 0.5:
         print(
             f"warning: omega = {args.omega} is outside the low-frequency "
             "validity range (recommended omega < 0.5)",
             file=sys.stderr,
         )
-    gamma_work, omega_work = optimizer.DEFAULT_LEVELS[0]
-    refine_levels = len(optimizer.DEFAULT_LEVELS)
-    cfg = optimizer.MinimizeConfig(
-        x_target=args.x, gamma_tilde=gamma_work, omega_tilde=omega_work
-    )
-    alpha, drift, res, feasible = _minimize_with_levels(cfg, refine_levels)
-    if feasible:
-        ctx = linewidth.DecayContext(n_vt=args.nvt, eta=math.sqrt(res.eps_s_star))
+    levels = optimizer.DEFAULT_LEVELS
+    ex = _extract(args.x, levels, optimizer.EPS_S_RANGE)
+    eps_s = ex.results[-1].eps_s_star
+    if ex.feasible:
+        ctx = linewidth.DecayContext(n_vt=args.nvt, eta=math.sqrt(eps_s))
         bound = linewidth.scaled_linewidth_bound(ctx, args.omega)
-        p_min = linewidth.min_absorption_probability(alpha, ctx, args.omega)
+        p_min = linewidth.min_absorption_probability(ex.alpha, ctx, args.omega)
         eta = ctx.eta
     else:
         bound = p_min = eta = math.nan
@@ -226,19 +204,18 @@ def cmd_bound(args) -> int:
         ("x", args.x),
         ("omega", args.omega),
         ("nvt", args.nvt),
-        ("gamma_work", gamma_work),
-        ("omega_work", omega_work),
-        ("refine_levels", refine_levels),
-        ("alpha", alpha),
-        ("alpha_drift", drift),
-        ("eps_s", res.eps_s_star),
+        ("gamma_work", levels[0][0]),
+        ("omega_work", levels[0][1]),
+        ("refine_levels", len(levels)),
+        ("alpha", ex.alpha),
+        ("alpha_drift", ex.drift),
+        ("eps_s", eps_s),
         ("eta", eta),
         ("linewidth_bound", bound),
         ("p_min", p_min),
-        ("feasible", feasible),
+        ("feasible", ex.feasible),
     ]
-    _emit([record], args.format, args.out)
-    return 0 if feasible else 3
+    return [record], 0 if ex.feasible else 3
 
 
 def _finite(text: str) -> float:
@@ -279,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="minimal absorption at a splitting ratio")
     p.add_argument("--x", type=_finite, required=True)
-    p.add_argument("--gamma", type=_finite, default=1e-3)
-    p.add_argument("--omega", type=_finite, default=1e-3)
+    p.add_argument("--gamma", type=_finite, default=optimizer.WORKING_POINT[0])
+    p.add_argument("--omega", type=_finite, default=optimizer.WORKING_POINT[1])
     p.add_argument(
         "--eps-s-max", dest="eps_s_max", type=_finite, default=optimizer.EPS_S_RANGE[1]
     )
@@ -321,16 +298,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     out = args.out
     created = bool(out) and not os.path.exists(out)
-    if out:
-        # an unwritable --out fails before any work; "a" keeps the bytes
-        try:
-            open(out, "a").close()
-        except OSError as exc:
-            return _fail(_cannot_write(out, exc))
     try:
-        return args.func(args)
+        if out:
+            # an unwritable --out fails before any work; "a" keeps the bytes
+            try:
+                open(out, "a").close()
+            except OSError as exc:
+                raise ValueError(_cannot_write(out, exc)) from None
+        records, code = args.func(args)
+        _emit(records, args.format, out)
+        return code
     except ValueError as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         # a command that failed before writing leaves no new empty file
         if created and os.path.isfile(out) and os.path.getsize(out) == 0:

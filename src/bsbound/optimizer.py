@@ -37,6 +37,7 @@ __all__ = [
     "ladder",
     "DEFAULT_LEVELS",
     "EPS_S_RANGE",
+    "WORKING_POINT",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -60,17 +61,26 @@ _SCAN_POINTS = 256
 _OBJECTIVE_RTOL = 1e-8
 # inter-level alpha drift above which the separable scaling is not trusted
 _DRIFT_TOL = 0.01
+# 0.1**k is zero from k = 324 on, so every longer ladder reaches gamma_tilde = 0
+_MAX_LEVELS = 324
 
 
 def ladder(
     gamma_tilde: float, omega_tilde: float, count: int
 ) -> tuple[tuple[float, float], ...]:
     """Refinement ladder (gamma_tilde * 0.1**k, omega_tilde * 0.1**k), k < count."""
+    if count > _MAX_LEVELS:
+        # checked before any level is built, so a huge count costs no memory
+        raise ValueError(
+            f"gamma_tilde * omega_tilde underflows to zero on a ladder of {count} levels"
+        )
     return tuple((gamma_tilde * 0.1**k, omega_tilde * 0.1**k) for k in range(count))
 
 
+# default (gamma_tilde, omega_tilde) of every minimization
+WORKING_POINT = (1e-3, 1e-3)
 # default refinement ladder for alpha extraction
-DEFAULT_LEVELS = ladder(1e-3, 1e-3, 2)
+DEFAULT_LEVELS = ladder(*WORKING_POINT, 2)
 # default (lo, hi) of the eps_s search
 EPS_S_RANGE = (1.0 + 1e-6, 1e3)
 
@@ -88,8 +98,8 @@ class MinimizeConfig(
     def __new__(
         cls,
         x_target: float,
-        gamma_tilde: float = 1e-3,
-        omega_tilde: float = 1e-3,
+        gamma_tilde: float = WORKING_POINT[0],
+        omega_tilde: float = WORKING_POINT[1],
         eps_s_range: tuple[float, float] = EPS_S_RANGE,
     ) -> "MinimizeConfig":
         self = tuple.__new__(cls, (x_target, gamma_tilde, omega_tilde, eps_s_range))
@@ -317,8 +327,8 @@ def _branch_roots(
 def solve_thickness_for_ratio(
     eps_s: float,
     x_target: float,
-    gamma_tilde: float = 1e-3,
-    omega_tilde: float = 1e-3,
+    gamma_tilde: float = WORKING_POINT[0],
+    omega_tilde: float = WORKING_POINT[1],
     branch: str = "first",
 ) -> Optional[float]:
     """Scaled thickness d with evaluate(...).x == x_target, or None.
@@ -480,10 +490,11 @@ def extract_alpha(
 
     The inter-level relative drift of alpha is the error estimate; drift
     above _DRIFT_TOL flags a departure from the separable small-parameter
-    scaling.
+    scaling.  One level measures no drift: drift is NaN and scaling_ok
+    False.
     """
-    if len(levels) < 2:
-        raise ValueError("need at least two refinement levels")
+    if not levels:
+        raise ValueError("need at least one refinement level")
     # every level is validated before any is solved
     configs = [
         MinimizeConfig(x_target, gamma_tilde, omega_tilde, eps_s_range)
@@ -495,10 +506,8 @@ def extract_alpha(
             alpha=math.nan, drift=math.nan, scaling_ok=False, feasible=False,
             results=results,
         )
-    drift = max(
-        abs(a.alpha - b.alpha) / abs(b.alpha)
-        for a, b in zip(results[:-1], results[1:])
-    )
+    drifts = [abs(a.alpha - b.alpha) / abs(b.alpha) for a, b in zip(results, results[1:])]
+    drift = max(drifts, default=math.nan)
     return AlphaExtraction(
         alpha=results[-1].alpha,
         drift=drift,

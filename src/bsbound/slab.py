@@ -31,7 +31,11 @@ _exp = cmath.exp
 
 
 class DegenerateDenominatorError(ArithmeticError):
-    """Interference denominator underflowed to zero (cannot occur for kappa > 0)."""
+    """Interference denominator evaluated to exactly zero.
+
+    Its exact value is nonzero, but at |n| >~ 4e16 and a small phase the
+    difference (1+n)^2 - (1-n)^2 exp(2in*phase) cancels to 0 in floating point.
+    """
 
 
 class ScaledSlabParams(

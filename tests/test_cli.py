@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsbound import cli, optimizer
 from bsbound.optimizer import solve_thickness_for_ratio
@@ -60,6 +64,21 @@ class TestEval:
                       "--thickness", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        # (1+n)^2 - (1-n)^2 cancels to exactly 0 at |n| >~ 4e16
+        ("--eps-s", "1e80", "--gamma", "1e-3", "--omega", "1e-3", "--thickness", "1e-60"),
+        # |t|^2 overflows
+        ("--eps-s", "1e60", "--gamma", "0", "--omega", "1e-100", "--thickness", "1e-150",
+         "--allow-lossless"),
+    ], ids=["denominator-cancels", "abs2-overflows"])
+    def test_extreme_working_point_exit_2(self, run_cli, args):
+        res = run_cli("eval", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        (line,) = res.stderr.splitlines()
+        assert line.startswith("error: slab response out of float range at ScaledSlabParams(")
+        assert "Traceback" not in res.stderr
+
     def test_round_trip_bitwise(self, run_cli):
         first = run_cli("eval", "--eps-s", "7.13", "--gamma", "3.7e-4", "--omega", "2.9e-3",
                         "--thickness", "123.456")
@@ -107,6 +126,22 @@ class TestMinimize:
         assert res.stdout == ""
         assert res.stderr.startswith("error: gamma_tilde * omega_tilde underflows to zero")
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("count", [10**6, 10**400], ids=["1e6", "1e400"])
+    def test_oversized_ladder_exit_2_before_it_is_built(self, capsys, count):
+        # every level from 324 on is (0, 0), so the ladder must be rejected
+        # before its levels are built: 10**6 of them take over 100 MB
+        tracemalloc.start()
+        try:
+            code = cli.main(["minimize", "--x", "1", "--refine-levels", str(count)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 5e6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: gamma_tilde * omega_tilde underflows to zero")
 
     def test_overflowing_eps_s_ratio_exit_2(self, run_cli):
         # (eps_s_max - 1)/(1e-6) overflows: the scan would put every slice
@@ -250,9 +285,11 @@ class TestScalingWarning:
         assert line.startswith(f"warning: alpha_drift = {rec['alpha_drift']!r} exceeds 0.01;")
 
     def test_default_minimize_is_quiet(self, run_cli):
-        res = run_cli("minimize", "--x", "1")
-        assert res.returncode == 0
-        assert res.stderr == ""
+        # one level measures no drift (NaN), so it cannot warn either
+        for levels in ("2", "1"):
+            res = run_cli("minimize", "--x", "1", "--refine-levels", levels)
+            assert res.returncode == 0
+            assert res.stderr == ""
 
     def test_bound_warns(self, monkeypatch, capsys):
         # bound's ladder is DEFAULT_LEVELS, which drifts far less than 1% below x = 1e7
@@ -312,6 +349,57 @@ class TestNonFiniteInputs:
         res = run_cli("minimize", "--x", "abc")
         assert res.returncode == 2
         assert "argument --x: invalid float value: 'abc'" in res.stderr
+
+
+class TestContract:
+    """Exit 0, 2 or 3 and no escaping exception for any input, run in process."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                assert exc.code == 2, err.getvalue()
+                return
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().splitlines()[-1].startswith("error: ")
+        else:
+            assert out.getvalue().count("\n") == 2  # header and one row
+
+    # every decade of the finite floats equally likely, with either sign, plus
+    # Hypothesis's own edge cases (zeros, subnormals, the largest floats)
+    ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99), st.integers(-307, 307),
+    )
+
+    @given(st.tuples(*[ANY_FLOAT] * 4), st.booleans())
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_eval(self, values, lossless):
+        flags = ("--eps-s", "--gamma", "--omega", "--thickness")
+        argv = ["eval", *(f"{flag}={v!r}" for flag, v in zip(flags, values))]
+        self.check(argv + ["--allow-lossless"] * lossless)
+
+    # x >= 1.7e7 still raises the inner solve's RuntimeError (ROADMAP item 5)
+    @given(
+        st.floats(1e-4, 1e7, exclude_max=True),
+        st.floats(1e-6, 0.5),
+        st.floats(1e-6, 0.5),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_minimize(self, x, gamma, omega, levels):
+        self.check(["minimize", f"--x={x!r}", f"--gamma={gamma!r}", f"--omega={omega!r}",
+                    f"--refine-levels={levels}"])
+
+    @given(st.floats(1e-4, 1e7, exclude_max=True), st.floats(1e-6, 0.5))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_bound(self, x, omega):
+        self.check(["bound", f"--x={x!r}", f"--omega={omega!r}"])
 
 
 class TestOutputFile:

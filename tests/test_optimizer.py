@@ -187,9 +187,21 @@ class TestExtractAlpha:
         with pytest.raises(ValueError, match="underflows to zero"):
             extract_alpha(1.0, ladder(1e-3, 1e-3, 200))
 
-    def test_needs_two_levels(self):
-        with pytest.raises(ValueError):
-            extract_alpha(1.0, levels=((1e-3, 1e-3),))
+    def test_one_level_is_one_minimization(self):
+        with pytest.raises(ValueError, match="at least one refinement level"):
+            extract_alpha(1.0, levels=())
+        ex = extract_alpha(1.0, levels=((1e-3, 1e-3),))
+        assert ex.results == (minimize_absorption(MinimizeConfig(x_target=1.0)),)
+        assert ex.alpha == ex.results[0].alpha and ex.feasible
+        # one level measures no drift, so the scaling is not confirmed
+        assert math.isnan(ex.drift) and not ex.scaling_ok
+
+    @pytest.mark.parametrize("count", [325, 10**400], ids=["325", "1e400"])
+    def test_oversized_ladder_rejected_before_it_is_built(self, count):
+        # level 324 is (0, 0) whatever the start; 10**400 levels cannot be built
+        with pytest.raises(ValueError, match="underflows to zero on a ladder of"):
+            ladder(1e-3, 1e-3, count)
+        assert len(ladder(1e-3, 1e-3, 324)) == 324
 
     def test_propagates_infeasibility(self):
         ex = extract_alpha(1.0, eps_s_range=(1.0 + 1e-6, 5.0))
