@@ -18,7 +18,6 @@ from .dielectric import (
 )
 from .linewidth import (
     DecayContext,
-    PhysicalDipoleInputs,
     dipole_sq_from_static_index,
     free_space_decay_rate,
     local_field_factor,
@@ -71,7 +70,6 @@ __all__ = [
     "extract_alpha",
     "sweep",
     "DecayContext",
-    "PhysicalDipoleInputs",
     "free_space_decay_rate",
     "dipole_sq_from_static_index",
     "local_field_factor",

@@ -3,13 +3,17 @@
 Every emitted record echoes its inputs so any row can be reproduced from
 the record alone.  Floats are printed with Python's shortest round-trip
 representation; CSV uses a frozen column order and JSON lines use the
-same keys.  Exit codes: 0 success, 2 usage or validation error, 3
-infeasible constraint.
+same keys.  Exit codes: 0 success, 2 usage or validation error or a
+failed solve, 3 infeasible constraint.  Every command raises ValueError
+for an exit 2, and `main` alone reports it as one `error:` line; the
+optimizer's RuntimeError (a root that misses the ratio tolerance) is
+turned into one at the two optimizer calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -53,14 +57,22 @@ def _cannot_write(out: str, exc: OSError) -> str:
     return f"cannot write --out {out!r}: {exc.strerror or exc}"
 
 
+def _solve_failed(exc: RuntimeError) -> ValueError:
+    return ValueError(f"the constrained solve failed: {exc}")
+
+
 def _extract(x: float, levels: Sequence, eps_s_range: tuple) -> optimizer.AlphaExtraction:
     """extract_alpha over `levels`, as the CLI reports it.
 
-    A reported p_min <= 0 raises ValueError: the working point is below the
-    resolution of p.  A drift that breaks the separable scaling gets a
-    warning on stderr; one level measures no drift.
+    A failed solve or a reported p_min <= 0 (the working point is below
+    the resolution of p) raises ValueError.  A drift that breaks the
+    separable scaling gets a warning on stderr; one level measures no
+    drift.
     """
-    ex = optimizer.extract_alpha(x, levels, eps_s_range)
+    try:
+        ex = optimizer.extract_alpha(x, levels, eps_s_range)
+    except RuntimeError as exc:
+        raise _solve_failed(exc) from None
     p_min = ex.results[-1].p_min
     if p_min <= 0.0:
         gamma, omega = levels[-1]
@@ -80,11 +92,19 @@ def _extract(x: float, levels: Sequence, eps_s_range: tuple) -> optimizer.AlphaE
 
 
 def _evaluate(params: slab.ScaledSlabParams) -> slab.SlabResponse:
-    """slab.evaluate; a response beyond float range, as at |n| >~ 4e16, is a ValueError."""
+    """slab.evaluate; a response beyond float range is a ValueError.
+
+    That is a vanishing denominator (|n| >~ 4e16) or a phase omega*d so
+    large that t, r and p come out NaN.  x = inf at r = 0 is a result.
+    """
     try:
-        return slab.evaluate(params)
+        resp = slab.evaluate(params)
     except ArithmeticError as exc:
         raise ValueError(f"slab response out of float range at {params}: {exc}") from None
+    if not (cmath.isfinite(resp.t) and cmath.isfinite(resp.r) and math.isfinite(resp.p)
+            and not math.isnan(resp.x)):
+        raise ValueError(f"slab response out of float range at {params}: {resp}")
+    return resp
 
 
 def cmd_eval(args) -> tuple[list, int]:
@@ -164,7 +184,10 @@ def cmd_sweep(args) -> tuple[list, int]:
     if args.x_min <= 0:
         raise ValueError("--x-min must be positive")
     grid = _grid(args.x_min, args.x_max, args.points, args.log)
-    rows = optimizer.sweep(grid, jobs=args.jobs)
+    try:
+        rows = optimizer.sweep(grid, jobs=args.jobs)
+    except RuntimeError as exc:
+        raise _solve_failed(exc) from None
     records = [
         [
             ("x", row.x),

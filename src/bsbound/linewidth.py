@@ -18,7 +18,6 @@ __all__ = [
     "EPSILON_0",
     "SPEED_OF_LIGHT",
     "DecayContext",
-    "PhysicalDipoleInputs",
     "free_space_decay_rate",
     "dipole_sq_from_static_index",
     "local_field_factor",
@@ -48,35 +47,6 @@ class DecayContext(_Checked, namedtuple("DecayContext", "n_vt eta")):
         if not eta > 1:
             raise ValueError(f"eta must exceed 1, got {eta}")
         return tuple.__new__(cls, (n_vt, eta))
-
-
-class PhysicalDipoleInputs(
-    _Checked,
-    namedtuple("PhysicalDipoleInputs", "omega_t number_density dipole_sq"),
-):
-    """Unscaled quantities entering the dipole relations (SI units).
-
-    omega_t in rad / s, number_density in m^-3, dipole_sq in C^2 m^2.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, omega_t: float, number_density: float, dipole_sq: float
-    ) -> "PhysicalDipoleInputs":
-        if not (omega_t > 0 and number_density > 0 and dipole_sq > 0):
-            raise ValueError("all PhysicalDipoleInputs fields must be positive")
-        return tuple.__new__(cls, (omega_t, number_density, dipole_sq))
-
-    @classmethod
-    def from_static_index(
-        cls, eta: float, omega_t: float, number_density: float
-    ) -> "PhysicalDipoleInputs":
-        return cls(
-            omega_t=omega_t,
-            number_density=number_density,
-            dipole_sq=dipole_sq_from_static_index(eta, omega_t, number_density),
-        )
 
 
 def free_space_decay_rate(omega: float, dipole_sq: float) -> float:

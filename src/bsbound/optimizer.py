@@ -11,6 +11,10 @@ ratio x(phi) falls from large values to a single valley and rises again,
 so a target ratio has at most two roots ("first" below the valley,
 "second" above).  The outer search scans eps_s geometrically and refines
 the best bracket by golden section, separately per branch.
+
+One slice solve serves minimize_absorption and solve_thickness_for_ratio;
+in both, a root that misses MinimizeConfig.constraint_rtol raises
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -174,31 +178,6 @@ class SweepRow(NamedTuple):
     feasible: bool
 
 
-class _Probe:
-    """Response of one eps_s slice as a function of phase, with eval count."""
-
-    def __init__(self, eps_s: float, gamma_tilde: float, omega_tilde: float) -> None:
-        self.omega_tilde = omega_tilde
-        self.eta0 = math.sqrt(eps_s)
-        self.index = working_index(eps_s, gamma_tilde, omega_tilde)
-        self.factors = _airy_factors(self.index)
-        self.evals = 0
-
-    def response(self, phi: float) -> tuple[float, float]:
-        """(p, x) at optical phase phi = eta0 * omega_tilde * d."""
-        self.evals += 1
-        _, _, p, x = _kernel(self.factors, phi / self.eta0)
-        return p, x
-
-    def ln_ratio(self, phi: float) -> float:
-        """ln x at optical phase phi, the quantity the phase solve works on."""
-        self.evals += 1
-        return math.log(_kernel(self.factors, phi / self.eta0)[3])
-
-    def d_of_phi(self, phi: float) -> float:
-        return phi / (self.eta0 * self.omega_tilde)
-
-
 def _golden_min(
     f: Callable[[float], float], a: float, b: float
 ) -> tuple[float, float, int]:
@@ -292,27 +271,62 @@ def brentq(
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
-def _branch_roots(
-    probe: _Probe, x_target: float, branches: Sequence[str]
-) -> dict[str, float]:
-    """Phase roots of x(phi) = x_target in the first period, per branch.
+class _Root(NamedTuple):
+    """One root of an eps_s slice: thickness d meets x_target.
 
-    Returns an empty mapping when the slice cannot reach the target ratio
-    (the valley of x(phi) stays above x_target).
+    phi is the optical phase at the working frequency, index.eta *
+    omega_tilde * d; residual is |x - x_target| / x_target.
     """
+
+    p: float
+    eps_s: float
+    branch: str
+    d: float
+    phi: float
+    residual: float
+
+
+# the optimum of a minimization in which no slice reaches the target ratio
+_NO_ROOT = _Root(math.nan, math.nan, "none", math.nan, math.nan, math.nan)
+
+
+def _solve_slice(
+    eps_s: float,
+    gamma_tilde: float,
+    omega_tilde: float,
+    x_target: float,
+    branches: Sequence[str],
+) -> tuple[list[_Root], int]:
+    """Roots of x(phi) = x_target in the first period of one eps_s slice.
+
+    Returns the roots of `branches`, in that order, and the number of slab
+    evaluations made.  The list is empty when the slice cannot reach the
+    target ratio (the valley of x(phi) stays above x_target), and leaves
+    out a branch whose reachable range stays below it.  A root whose
+    ratio misses x_target by more than MinimizeConfig.constraint_rtol
+    raises RuntimeError.
+    """
+    eta0 = math.sqrt(eps_s)
+    index = working_index(eps_s, gamma_tilde, omega_tilde)
+    factors = _airy_factors(index)
     ln_xt = math.log(x_target)
-    ln_ratio = probe.ln_ratio
+    evals = 0
+
+    def ln_ratio(phi: float) -> float:
+        nonlocal evals
+        evals += 1
+        return math.log(_kernel(factors, phi / eta0)[3])
 
     def h(phi: float) -> float:
         return ln_ratio(phi) - ln_xt
 
     phi_valley, ln_x_valley, _ = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
     if ln_x_valley > ln_xt:
-        return {}
+        return [], evals
     # each phase is evaluated once: h at the valley is known from the
     # search, and the endpoint values are handed to brentq
     h_valley = ln_x_valley - ln_xt
-    roots: dict[str, float] = {}
+    roots = []
     for branch in branches:
         if branch == "first":
             a, ha, b, hb = _PHI_LO, h(_PHI_LO), phi_valley, h_valley
@@ -320,8 +334,19 @@ def _branch_roots(
             a, ha, b, hb = phi_valley, h_valley, _PHI_HI, h(_PHI_HI)
         if ha * hb > 0.0:
             continue  # target above this branch's reachable range
-        roots[branch] = brentq(h, a, b, ha, hb)
-    return roots
+        phi = brentq(h, a, b, ha, hb)
+        evals += 1
+        _, _, p, x = _kernel(factors, phi / eta0)
+        residual = abs(x - x_target) / x_target
+        if residual > MinimizeConfig.constraint_rtol:
+            raise RuntimeError(
+                f"inner solve left residual {residual:.3e} > "
+                f"{MinimizeConfig.constraint_rtol:.1e} at eps_s={eps_s}, "
+                f"x={x_target}, branch={branch}"
+            )
+        d = phi / (eta0 * omega_tilde)
+        roots.append(_Root(p, eps_s, branch, d, index.eta * omega_tilde * d, residual))
+    return roots, evals
 
 
 def solve_thickness_for_ratio(
@@ -336,7 +361,9 @@ def solve_thickness_for_ratio(
     The phase is restricted to the first interference period; `branch`
     selects the root below ("first") or above ("second") the ratio valley.
     Infeasibility (the slab cannot reflect strongly enough at this eps_s)
-    is a domain answer, reported as None.
+    is a domain answer, reported as None.  A root whose ratio misses
+    x_target by more than MinimizeConfig.constraint_rtol raises
+    RuntimeError, as in minimize_absorption.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
@@ -349,11 +376,8 @@ def solve_thickness_for_ratio(
         raise ValueError(f"eps_s must exceed 1, got {eps_s}")
     if not x_target > 0:
         raise ValueError(f"x_target must be positive, got {x_target}")
-    probe = _Probe(eps_s, gamma_tilde, omega_tilde)
-    roots = _branch_roots(probe, x_target, (branch,))
-    if branch not in roots:
-        return None
-    return probe.d_of_phi(roots[branch])
+    roots, _ = _solve_slice(eps_s, gamma_tilde, omega_tilde, x_target, (branch,))
+    return roots[0].d if roots else None
 
 
 def _scan_grid(lo: float, hi: float, points: int) -> list[float]:
@@ -363,26 +387,14 @@ def _scan_grid(lo: float, hi: float, points: int) -> list[float]:
     return [1.0 + (lo - 1.0) * ratio ** (k / (points - 1)) for k in range(points)]
 
 
-def _infeasible(scan_feasible: int, refine_iters: int, evals: int) -> MinimizeResult:
-    nan = math.nan
-    return MinimizeResult(
-        alpha=nan, eps_s_star=nan, d_star=nan, p_min=nan, phi_star=nan,
-        branch="none", feasible=False,
-        diagnostics=MinimizeDiagnostics(
-            constraint_residual=nan, scan_feasible=scan_feasible,
-            refine_iterations=refine_iters, slab_evaluations=evals,
-            rejected_branch_p=nan,
-        ),
-    )
-
-
 def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     """Minimum absorption over eps_s and thickness at a fixed ratio.
 
     Scans eps_s over config.eps_s_range (skipping slices that cannot reach
     x_target even without loss), golden-section refines the best bracket
     of each branch, and reports the better branch.  Ties within the
-    objective tolerance go to the thinner slab.
+    objective tolerance go to the thinner slab.  A root that misses the
+    ratio by more than config.constraint_rtol raises RuntimeError.
     """
     lo, hi = config.eps_s_range
     grid = _scan_grid(lo, hi, _SCAN_POINTS)
@@ -390,23 +402,13 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     evals = 0
     scan_feasible = 0
 
-    def solve(eps: float, branches: Sequence[str]) -> dict:
-        """branch -> (p, probe, phi, residual) at the constraint in the eps_s slice."""
+    def solve(eps: float, branches: Sequence[str]) -> list[_Root]:
         nonlocal evals
-        probe = _Probe(eps, config.gamma_tilde, config.omega_tilde)
-        sols = {}
-        for branch, phi in _branch_roots(probe, x_target, branches).items():
-            p, x = probe.response(phi)
-            residual = abs(x - x_target) / x_target
-            if residual > config.constraint_rtol:
-                raise RuntimeError(
-                    f"inner solve left residual {residual:.3e} > "
-                    f"{config.constraint_rtol:.1e} at eps_s={eps}, x={x_target}, "
-                    f"branch={branch}"
-                )
-            sols[branch] = (p, probe, phi, residual)
-        evals += probe.evals
-        return sols
+        roots, n = _solve_slice(
+            eps, config.gamma_tilde, config.omega_tilde, x_target, branches
+        )
+        evals += n
+        return roots
 
     # lossless feasibility with 5% margin: loss shifts the reachable ratio
     # by O(gamma*omega), far below the margin
@@ -418,65 +420,54 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     for i, eps in enumerate(grid):
         if surely_infeasible(eps):
             continue
-        sols = solve(eps, _BRANCHES)
-        scan_feasible += bool(sols)
-        for branch, (p, *_) in sols.items():
-            if branch not in best or p < best[branch][0]:
-                best[branch] = (p, i)
-
-    if not best:
-        return _infeasible(scan_feasible, 0, evals)
+        roots = solve(eps, _BRANCHES)
+        scan_feasible += bool(roots)
+        for root in roots:
+            if root.branch not in best or root.p < best[root.branch][0]:
+                best[root.branch] = (root.p, i)
 
     refine_iters = 0
-    # (p, eps_s, branch, probe, phi, residual) of each branch's refined optimum
-    optima = []
+    # each branch's refined optimum
+    optima: list[_Root] = []
     for branch in _BRANCHES:
         if branch not in best:
             continue
         i = best[branch][1]
-        # eps_s -> solution; the golden search returns one of its points
-        refined: dict[float, tuple] = {}
+        # eps_s -> root; the golden search returns one of its points
+        refined: dict[float, _Root] = {}
 
         def p_of_eps(eps: float) -> float:
-            sol = solve(eps, (branch,)).get(branch)
-            if sol is None:
-                return math.inf
-            refined[eps] = sol
-            return sol[0]
+            for root in solve(eps, (branch,)):
+                refined[eps] = root
+                return root.p
+            return math.inf
 
         eps_star, p_star, iters = _golden_min(
             p_of_eps, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
         )
         refine_iters += iters
         if math.isfinite(p_star):
-            _, probe, phi, residual = refined[eps_star]
-            optima.append((p_star, eps_star, branch, probe, phi, residual))
-
-    if not optima:
-        return _infeasible(scan_feasible, refine_iters, evals)
+            optima.append(refined[eps_star])
 
     # smaller p wins; ties within the objective tolerance go to the thinner
     # slab, which is the first branch
-    if len(optima) == 2 and optima[1][0] < optima[0][0] * (1.0 - _OBJECTIVE_RTOL):
+    if len(optima) == 2 and optima[1].p < optima[0].p * (1.0 - _OBJECTIVE_RTOL):
         optima.reverse()
-    p_min, eps_star, chosen, probe, phi, residual = optima[0]
-    d_star = probe.d_of_phi(phi)
-    # report the actual optical phase at the working frequency
-    phi_star = probe.index.eta * config.omega_tilde * d_star
+    chosen = optima[0] if optima else _NO_ROOT
     return MinimizeResult(
-        alpha=p_min / (config.gamma_tilde * config.omega_tilde),
-        eps_s_star=eps_star,
-        d_star=d_star,
-        p_min=p_min,
-        phi_star=phi_star,
-        branch=chosen,
-        feasible=True,
+        alpha=chosen.p / (config.gamma_tilde * config.omega_tilde),
+        eps_s_star=chosen.eps_s,
+        d_star=chosen.d,
+        p_min=chosen.p,
+        phi_star=chosen.phi,
+        branch=chosen.branch,
+        feasible=bool(optima),
         diagnostics=MinimizeDiagnostics(
-            constraint_residual=residual,
+            constraint_residual=chosen.residual,
             scan_feasible=scan_feasible,
             refine_iterations=refine_iters,
             slab_evaluations=evals,
-            rejected_branch_p=optima[1][0] if len(optima) == 2 else math.nan,
+            rejected_branch_p=optima[1].p if len(optima) == 2 else math.nan,
         ),
     )
 

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from bsbound import optimizer
-from bsbound.optimizer import _PHI_HI, _PHI_LO, _Probe, _golden_min
+from bsbound.optimizer import _PHI_HI, _PHI_LO, _golden_min
+from bsbound.slab import _airy_factors, _kernel, working_index
 
 EPS_GRID = [1.01 * (1e3 / 1.01) ** (k / 9) for k in range(10)]
 X_GRID = [10.0 ** k for k in range(-3, 7)]
@@ -12,12 +13,14 @@ X_GRID = [10.0 ** k for k in range(-3, 7)]
 def branch_slices():
     """(h, a, b) for every bracketed root of ln x(phi) - ln x_target, as the solver builds them."""
     for eps_s in EPS_GRID:
+        factors = _airy_factors(working_index(eps_s, 1e-3, 1e-3))
+        eta0 = math.sqrt(eps_s)
         for x_target in X_GRID:
-            probe = _Probe(eps_s, 1e-3, 1e-3)
             ln_xt = math.log(x_target)
 
-            def h(phi, probe=probe, ln_xt=ln_xt):
-                return math.log(probe.response(phi)[1]) - ln_xt
+            # the ratio at optical phase phi = eta0 * omega_tilde * d
+            def h(phi, factors=factors, eta0=eta0, ln_xt=ln_xt):
+                return math.log(_kernel(factors, phi / eta0)[3]) - ln_xt
 
             valley, _, _ = _golden_min(h, _PHI_LO, _PHI_HI)
             for a, b in ((_PHI_LO, valley), (valley, _PHI_HI)):

@@ -8,7 +8,6 @@ from bsbound.linewidth import (
     EPSILON_0,
     HBAR,
     DecayContext,
-    PhysicalDipoleInputs,
     dipole_sq_from_static_index,
     free_space_decay_rate,
     local_field_factor,
@@ -62,12 +61,6 @@ class TestDipoleRelation:
         d_sq = dipole_sq_from_static_index(eta, omega_t, n)
         chi0 = 2 * d_sq * n / (3 * HBAR * omega_t * EPSILON_0)
         assert chi0 == pytest.approx(eta**2 - 1, rel=1e-14)
-
-    def test_physical_inputs_helper(self):
-        inputs = PhysicalDipoleInputs.from_static_index(math.sqrt(6.2), 2.5e15, 3.7e26)
-        assert inputs.dipole_sq == dipole_sq_from_static_index(math.sqrt(6.2), 2.5e15, 3.7e26)
-        with pytest.raises(ValueError):
-            PhysicalDipoleInputs(omega_t=0.0, number_density=1.0, dipole_sq=1.0)
 
 
 class TestLocalField:

@@ -7,14 +7,13 @@ from scipy.optimize import brentq
 from bsbound import optimizer
 from bsbound.optimizer import (
     MinimizeConfig,
-    _Probe,
     extract_alpha,
     ladder,
     minimize_absorption,
     solve_thickness_for_ratio,
     sweep,
 )
-from bsbound.slab import ScaledSlabParams, evaluate
+from bsbound.slab import ScaledSlabParams, _airy_factors, _kernel, evaluate, working_index
 from conftest import GOLDEN, make_goldens
 
 INF, NAN = math.inf, math.nan
@@ -56,6 +55,15 @@ class TestThicknessSolve:
                 continue
             x = ratio_at(eps_s, d)
             assert abs(x - x_target) / x_target <= 1e-10
+
+    @pytest.mark.parametrize("eps_s, x_target, branch", [
+        (34145488738.926804, 1.0, "second"),  # the root's ratio is off by 1.854e-10
+        (1.000001, 1e30, "first"),  # off by 1.860e-7
+    ])
+    def test_missed_constraint_raises(self, eps_s, x_target, branch):
+        # the tolerance and error of minimize_absorption, not a thickness off the ratio
+        with pytest.raises(RuntimeError, match=r"inner solve left residual .* > 1\.0e-10"):
+            solve_thickness_for_ratio(eps_s, x_target, branch=branch)
 
     def test_branch_ordering(self):
         d1 = solve_thickness_for_ratio(6.2, 1.0, branch="first")
@@ -125,10 +133,15 @@ class TestMinimize:
         # one-time check behind the first-period restriction: the k = 1
         # roots of the same ratio constraint cost strictly more absorption
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
-        probe = _Probe(res.eps_s_star, 1e-3, 1e-3)
+        factors = _airy_factors(working_index(res.eps_s_star, 1e-3, 1e-3))
+        eta0 = math.sqrt(res.eps_s_star)
+
+        def response(phi):
+            """(p, x) at optical phase phi = eta0 * omega_tilde * d, as the solver sees it."""
+            return _kernel(factors, phi / eta0)[2:]
 
         def h(phi):
-            return math.log(probe.response(phi)[1])
+            return math.log(response(phi)[1])
 
         lo, hi = math.pi * (1 + 1e-9), 2 * math.pi * (1 - 1e-9)
         golden = (math.sqrt(5) - 1) / 2
@@ -143,7 +156,7 @@ class TestMinimize:
         for lo_i, hi_i in ((lo, valley), (valley, hi)):
             if (h(lo_i)) * (h(hi_i)) < 0:
                 root = brentq(lambda v: h(v), lo_i, hi_i, xtol=1e-13)
-                p_second_period = probe.response(root)[0]
+                p_second_period = response(root)[0]
                 assert p_second_period > res.p_min
 
     def test_config_validation(self):

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from bsbound.dielectric import ComplexIndex, DrudeLorentzModel, Resonance
-from bsbound.linewidth import DecayContext, PhysicalDipoleInputs
+from bsbound.linewidth import DecayContext
 from bsbound.optimizer import (
     AlphaExtraction,
     MinimizeConfig,
@@ -28,7 +28,6 @@ RECORDS = [
     (ComplexIndex(2.5, 1e-4), {"eta": 0.0}),
     (ScaledSlabParams(1e-3, 1e-3, 500.0, 6.2), {"eps_s": 1.0}),
     (DecayContext(1e9, 2.5), {"eta": 1.0}),
-    (PhysicalDipoleInputs(1e15, 1e28, 1e-58), {"dipole_sq": 0.0}),
     (MinimizeConfig(1.0), {"eps_s_range": (10.0, 2.0)}),
     (SlabResponse(0.7 + 0.1j, 0.1 - 0.6j, 1e-6, 1.3), None),
     (DIAGNOSTICS, None),
