@@ -15,11 +15,22 @@ the best bracket by golden section, separately per branch.
 One slice solve serves minimize_absorption and solve_thickness_for_ratio;
 in both, a root that misses MinimizeConfig.constraint_rtol raises
 RuntimeError.
+
+The valley of a slice depends on (eps_s, gamma_tilde, omega_tilde) but not
+on the target ratio, so it is memoized: every ratio solved at a working
+point reuses the valleys that an earlier solve there found.  The memo is
+per process (each sweep pool worker fills its own) and bounded to
+_VALLEY_MEMO_SIZE slices, about 1.5 MB, the least recently used evicted
+first.  Results do not depend on it: a memo hit returns the floats a
+fresh search would, and MinimizeDiagnostics.slab_evaluations counts the
+valley search's evaluations either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from collections import namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -61,6 +72,9 @@ _MAXITER = 100
 _GOLDEN_RTOL = 1e-7
 # eps_s slices of the outer scan
 _SCAN_POINTS = 256
+# slices whose valley the memo keeps: the scan grids of both default ladder
+# levels with room for the refinement slices and other working points
+_VALLEY_MEMO_SIZE = 8 * _SCAN_POINTS
 # a later branch must undercut the earlier one's p by this fraction to win
 _OBJECTIVE_RTOL = 1e-8
 # inter-level alpha drift above which the separable scaling is not trusted
@@ -134,6 +148,13 @@ class MinimizeConfig(
 
 
 class MinimizeDiagnostics(NamedTuple):
+    """Work and margins of one minimization.
+
+    slab_evaluations counts every slab evaluation the result is built
+    from, those of valley searches answered by the memo included, so it
+    does not depend on what the process solved before.
+    """
+
     constraint_residual: float
     scan_feasible: int
     refine_iterations: int
@@ -290,6 +311,41 @@ class _Root(NamedTuple):
 _NO_ROOT = _Root(math.nan, math.nan, "none", math.nan, math.nan, math.nan)
 
 
+class _Valley(NamedTuple):
+    """The ratio-independent part of an eps_s slice solve.
+
+    eta0 = sqrt(eps_s), eta is the working index's real part, factors are
+    its _airy_factors, and the valley of ln x(phi) in the first period
+    sits at phi_valley with value ln_x_valley; the search took
+    evaluations slab evaluations.
+    """
+
+    eta0: float
+    eta: float
+    factors: tuple[complex, ...]
+    phi_valley: float
+    ln_x_valley: float
+    evaluations: int
+
+
+@functools.lru_cache(maxsize=_VALLEY_MEMO_SIZE)
+def _slice_valley(eps_s: float, gamma_tilde: float, omega_tilde: float) -> _Valley:
+    """Index, Airy factors and ratio valley of one slice, memoized per process."""
+    eta0 = math.sqrt(eps_s)
+    # looked up at call time, so a patched working_index sees every miss
+    index = working_index(eps_s, gamma_tilde, omega_tilde)
+    factors = _airy_factors(index)
+    evals = 0
+
+    def ln_ratio(phi: float) -> float:
+        nonlocal evals
+        evals += 1
+        return math.log(_kernel(factors, phi / eta0)[3])
+
+    phi_valley, ln_x_valley, _ = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
+    return _Valley(eta0, index.eta, factors, phi_valley, ln_x_valley, evals)
+
+
 def _solve_slice(
     eps_s: float,
     gamma_tilde: float,
@@ -300,29 +356,24 @@ def _solve_slice(
     """Roots of x(phi) = x_target in the first period of one eps_s slice.
 
     Returns the roots of `branches`, in that order, and the number of slab
-    evaluations made.  The list is empty when the slice cannot reach the
-    target ratio (the valley of x(phi) stays above x_target), and leaves
-    out a branch whose reachable range stays below it.  A root whose
-    ratio misses x_target by more than MinimizeConfig.constraint_rtol
-    raises RuntimeError.
+    evaluations they are built from, the valley search's included.  The
+    list is empty when the slice cannot reach the target ratio (the valley
+    of x(phi) stays above x_target), and leaves out a branch whose
+    reachable range stays below it.  A root whose ratio misses x_target
+    by more than MinimizeConfig.constraint_rtol raises RuntimeError.
     """
-    eta0 = math.sqrt(eps_s)
-    index = working_index(eps_s, gamma_tilde, omega_tilde)
-    factors = _airy_factors(index)
+    eta0, eta, factors, phi_valley, ln_x_valley, evals = _slice_valley(
+        eps_s, gamma_tilde, omega_tilde
+    )
     ln_xt = math.log(x_target)
-    evals = 0
-
-    def ln_ratio(phi: float) -> float:
-        nonlocal evals
-        evals += 1
-        return math.log(_kernel(factors, phi / eta0)[3])
-
-    def h(phi: float) -> float:
-        return ln_ratio(phi) - ln_xt
-
-    phi_valley, ln_x_valley, _ = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
     if ln_x_valley > ln_xt:
         return [], evals
+
+    def h(phi: float) -> float:
+        nonlocal evals
+        evals += 1
+        return math.log(_kernel(factors, phi / eta0)[3]) - ln_xt
+
     # each phase is evaluated once: h at the valley is known from the
     # search, and the endpoint values are handed to brentq
     h_valley = ln_x_valley - ln_xt
@@ -345,7 +396,7 @@ def _solve_slice(
                 f"x={x_target}, branch={branch}"
             )
         d = phi / (eta0 * omega_tilde)
-        roots.append(_Root(p, eps_s, branch, d, index.eta * omega_tilde * d, residual))
+        roots.append(_Root(p, eps_s, branch, d, eta * omega_tilde * d, residual))
     return roots, evals
 
 
@@ -521,15 +572,15 @@ def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
 
     Per-row infeasibility is recorded in the row, never raised.  With
     jobs > 1 rows are computed in a pool of at most jobs processes, one
-    per row at most; the output order and content are identical
-    regardless of jobs.
+    per row and one per CPU (os.cpu_count()) at most; the output order
+    and content are identical regardless of jobs.
     """
     xs = [float(x) for x in x_values]
     if not xs:
         raise ValueError("x_values must be non-empty")
     if not all(math.isfinite(x) and x > 0 for x in xs):
         raise ValueError("x_values must all be finite and positive")
-    workers = min(jobs, len(xs))
+    workers = min(jobs, len(xs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 

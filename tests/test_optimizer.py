@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -251,7 +252,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([])
 
-    def test_pool_sized_by_rows(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Sizes of the pools sweep asks for; each maps serially, in this process."""
         import multiprocessing
 
         sizes = []
@@ -270,10 +273,82 @@ class TestSweep:
                 return [func(item) for item in items]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        return sizes
+
+    def test_pool_sized_by_rows(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         xs = [0.5, 1.0, 2.0]
         assert sweep(xs, jobs=4) == sweep(xs, jobs=1)
         assert sweep([1.0], jobs=4) == sweep([1.0])
-        assert sizes == [3]
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, []), (None, [])])
+    def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch, cpus, sizes):
+        # jobs far above the CPUs (say --points 5000 --jobs 5000) forks no more
+        # processes than there are CPUs; one CPU, or an unknown count, forks none
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        xs = [0.5, 1.0, 2.0]
+        assert sweep(xs, jobs=5000) == sweep(xs)
+        assert pool_sizes == sizes
+
+
+class TestValleyMemo:
+    """The per-process memo of slice valleys changes no result, only the work."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: minimize_absorption(MinimizeConfig(x_target=1.0)),
+        lambda: extract_alpha(10.0),
+        lambda: solve_thickness_for_ratio(6.2, 1.0, branch="first"),
+        lambda: solve_thickness_for_ratio(6.2, 1.0, branch="second"),
+        lambda: sweep([0.5, 2.0]),
+    ], ids=["minimize", "extract_alpha", "thickness-first", "thickness-second", "sweep"])
+    def test_cold_and_warm_results_identical(self, call):
+        optimizer._slice_valley.cache_clear()
+        cold = repr(call())
+        # valleys found for another ratio at the same working points
+        extract_alpha(3.0)
+        solve_thickness_for_ratio(6.2, 30.0)
+        hits = optimizer._slice_valley.cache_info().hits
+        assert repr(call()) == cold
+        assert repr(call()) == cold
+        assert optimizer._slice_valley.cache_info().hits > hits
+
+    def test_evicted_working_point_identical(self):
+        cfg = MinimizeConfig(x_target=1.0, gamma_tilde=2e-3, omega_tilde=2e-3)
+        memo = optimizer._slice_valley
+        memo.cache_clear()
+        cold = repr(minimize_absorption(cfg))
+        slices = memo.cache_info().misses
+        # fill the memo past its size with slices of another working point
+        for k in range(memo.cache_info().maxsize):
+            memo(2.0 + k * 1e-3, 1e-3, 1e-3)
+        assert memo.cache_info().currsize == memo.cache_info().maxsize
+        misses = memo.cache_info().misses
+        assert repr(minimize_absorption(cfg)) == cold
+        # every slice of cfg was evicted and searched again
+        assert memo.cache_info().misses - misses == slices
+
+    def test_repeated_working_point_makes_fewer_index_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return working_index(*args)
+
+        monkeypatch.setattr(optimizer, "working_index", counted)
+
+        def index_calls(x_target):
+            before = len(calls)
+            minimize_absorption(MinimizeConfig(x_target=x_target))
+            return len(calls) - before
+
+        optimizer._slice_valley.cache_clear()
+        cold = index_calls(0.5)
+        optimizer._slice_valley.cache_clear()
+        index_calls(1.0)
+        # x = 0.5 shares the feasible scan slices of x = 1; its refinement is new
+        assert 0 < index_calls(0.5) < cold
+        assert index_calls(1.0) == 0
 
 
 @pytest.mark.parametrize("call", [
