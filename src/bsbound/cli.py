@@ -61,7 +61,7 @@ def _solve_failed(exc: RuntimeError) -> ValueError:
     return ValueError(f"the constrained solve failed: {exc}")
 
 
-def _extract(x: float, levels: Sequence, eps_s_range: tuple) -> optimizer.AlphaExtraction:
+def _extract(x: float, levels: Sequence, eps_s_max: float) -> optimizer.AlphaExtraction:
     """extract_alpha over `levels`, as the CLI reports it.
 
     A failed solve or a reported p_min <= 0 (the working point is below
@@ -70,7 +70,7 @@ def _extract(x: float, levels: Sequence, eps_s_range: tuple) -> optimizer.AlphaE
     drift.
     """
     try:
-        ex = optimizer.extract_alpha(x, levels, eps_s_range)
+        ex = optimizer.extract_alpha(x, levels, eps_s_max)
     except RuntimeError as exc:
         raise _solve_failed(exc) from None
     p_min = ex.results[-1].p_min
@@ -136,7 +136,7 @@ def cmd_minimize(args) -> tuple[list, int]:
     if args.refine_levels < 1:
         raise ValueError("--refine-levels must be at least 1")
     levels = optimizer.ladder(args.gamma, args.omega, args.refine_levels)
-    ex = _extract(args.x, levels, (optimizer.EPS_S_RANGE[0], args.eps_s_max))
+    ex = _extract(args.x, levels, args.eps_s_max)
     res = ex.results[-1]
     record = [
         ("x", args.x),
@@ -160,9 +160,9 @@ def cmd_minimize(args) -> tuple[list, int]:
 def _grid(x_min: float, x_max: float, points: int, log: bool) -> list:
     """points ratios from x_min to x_max, both exact; equal steps in log10(x) if log.
 
-    The formulas of numpy's linspace and geomspace: the linear grid is the
-    same floats (for normal x), and the log grid differs only where numpy's
-    log10 and power round differently from the C library's.
+    The formulas of an array library's linspace and geomspace: the linear
+    grid is the same floats (for normal x), and the log grid differs only
+    where that library's log10 and power round differently from the C one's.
     """
     if log:
         lo = math.log10(x_min)
@@ -214,7 +214,7 @@ def cmd_bound(args) -> tuple[list, int]:
             file=sys.stderr,
         )
     levels = optimizer.DEFAULT_LEVELS
-    ex = _extract(args.x, levels, optimizer.EPS_S_RANGE)
+    ex = _extract(args.x, levels, optimizer.EPS_S_MAX)
     eps_s = ex.results[-1].eps_s_star
     if ex.feasible:
         ctx = linewidth.DecayContext(n_vt=args.nvt, eta=math.sqrt(eps_s))
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_finite, default=optimizer.WORKING_POINT[0])
     p.add_argument("--omega", type=_finite, default=optimizer.WORKING_POINT[1])
     p.add_argument(
-        "--eps-s-max", dest="eps_s_max", type=_finite, default=optimizer.EPS_S_RANGE[1]
+        "--eps-s-max", dest="eps_s_max", type=_finite, default=optimizer.EPS_S_MAX
     )
     p.add_argument("--refine-levels", dest="refine_levels", type=int, default=2)
     _add_io_flags(p)

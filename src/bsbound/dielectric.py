@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING, Sequence, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 __all__ = [
     "Resonance",
@@ -106,23 +102,12 @@ class ComplexIndex(_Checked, namedtuple("ComplexIndex", "eta kappa")):
         return complex(self.eta, self.kappa)
 
 
-def susceptibility(
-    model: DrudeLorentzModel, omega: Union[float, np.ndarray]
-) -> Union[complex, np.ndarray]:
+def susceptibility(model: DrudeLorentzModel, omega: float) -> complex:
     """Sum of Drude-Lorentz terms omega_p^2 / (omega_t^2 - omega^2 - i*gamma*omega).
 
-    Accepts a scalar frequency or a numpy array.  The imaginary part is
-    strictly positive for omega > 0 whenever every gamma > 0, and exactly
-    zero at omega = 0.
+    The imaginary part is strictly positive for omega > 0 whenever every
+    gamma > 0, and exactly zero at omega = 0.
     """
-    # an ndarray argument means numpy is loaded already; the scalar path
-    # never imports it
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(omega, np.ndarray):
-        total = np.zeros(omega.shape, dtype=complex)
-        for r in model.resonances:
-            total += r.omega_p**2 / (r.omega_t**2 - omega**2 - 1j * r.gamma * omega)
-        return total
     if omega < 0:
         raise ValueError(f"omega must be non-negative, got {omega}")
     if omega == 0:
@@ -232,8 +217,8 @@ def superconvergence_residual(model: DrudeLorentzModel, omega_max: float) -> flo
     Raises QuadratureError if a panel fails to settle before
     _MAX_SUBDIVISIONS.
     """
-    if omega_max <= 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
+    if not (math.isfinite(omega_max) and omega_max > 0):
+        raise ValueError(f"omega_max must be finite and positive, got {omega_max}")
     breaks = {0.0, float(omega_max)}
     for r in model.resonances:
         for b in (r.omega_t - 10.0 * r.gamma, r.omega_t, r.omega_t + 10.0 * r.gamma):

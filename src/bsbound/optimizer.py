@@ -51,7 +51,8 @@ __all__ = [
     "sweep",
     "ladder",
     "DEFAULT_LEVELS",
-    "EPS_S_RANGE",
+    "EPS_S_MIN",
+    "EPS_S_MAX",
     "WORKING_POINT",
 ]
 
@@ -99,15 +100,17 @@ def ladder(
 WORKING_POINT = (1e-3, 1e-3)
 # default refinement ladder for alpha extraction
 DEFAULT_LEVELS = ladder(*WORKING_POINT, 2)
-# default (lo, hi) of the eps_s search
-EPS_S_RANGE = (1.0 + 1e-6, 1e3)
+# the eps_s search starts just above vacuum: a numerical guard, not an input
+EPS_S_MIN = 1.0 + 1e-6
+# default upper end of the eps_s search
+EPS_S_MAX = 1e3
 
 
 class MinimizeConfig(
     _Checked,
-    namedtuple("MinimizeConfig", "x_target gamma_tilde omega_tilde eps_s_range"),
+    namedtuple("MinimizeConfig", "x_target gamma_tilde omega_tilde eps_s_max"),
 ):
-    """Target ratio, working point and eps_s search range of one minimization."""
+    """Target ratio, working point and eps_s search ceiling of one minimization."""
 
     __slots__ = ()
     # relative ratio residual the inner solve must reach at every root
@@ -118,11 +121,10 @@ class MinimizeConfig(
         x_target: float,
         gamma_tilde: float = WORKING_POINT[0],
         omega_tilde: float = WORKING_POINT[1],
-        eps_s_range: tuple[float, float] = EPS_S_RANGE,
+        eps_s_max: float = EPS_S_MAX,
     ) -> "MinimizeConfig":
-        self = tuple.__new__(cls, (x_target, gamma_tilde, omega_tilde, eps_s_range))
-        values = (x_target, gamma_tilde, omega_tilde, *eps_s_range)
-        if not all(map(math.isfinite, values)):
+        self = tuple.__new__(cls, (x_target, gamma_tilde, omega_tilde, eps_s_max))
+        if not all(map(math.isfinite, self)):
             raise ValueError(f"values must be finite, got {self}")
         if not x_target > 0:
             raise ValueError(f"x_target must be positive, got {x_target}")
@@ -136,13 +138,13 @@ class MinimizeConfig(
                 f"gamma_tilde * omega_tilde underflows to zero at "
                 f"gamma_tilde={gamma_tilde}, omega_tilde={omega_tilde}"
             )
-        lo, hi = eps_s_range
-        if not (1.0 < lo < hi):
-            raise ValueError(f"eps_s_range must satisfy 1 < lo < hi, got {eps_s_range}")
-        if not math.isfinite((hi - 1.0) / (lo - 1.0)):
+        if not eps_s_max > EPS_S_MIN:
+            raise ValueError(f"eps_s_max must exceed {EPS_S_MIN!r}, got {eps_s_max}")
+        if not math.isfinite((eps_s_max - 1.0) / (EPS_S_MIN - 1.0)):
             # the eps_s scan is geometric in eps_s - 1 with this ratio
             raise ValueError(
-                f"eps_s_range {eps_s_range} is too wide: (hi - 1)/(lo - 1) overflows"
+                f"eps_s_max {eps_s_max} is too wide: "
+                f"(eps_s_max - 1)/(EPS_S_MIN - 1) overflows"
             )
         return self
 
@@ -427,28 +429,34 @@ def solve_thickness_for_ratio(
         raise ValueError(f"eps_s must exceed 1, got {eps_s}")
     if not x_target > 0:
         raise ValueError(f"x_target must be positive, got {x_target}")
+    if not omega_tilde > 0:
+        # the thickness is the phase divided by omega_tilde
+        raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
     roots, _ = _solve_slice(eps_s, gamma_tilde, omega_tilde, x_target, (branch,))
     return roots[0].d if roots else None
 
 
-def _scan_grid(lo: float, hi: float, points: int) -> list[float]:
-    # geometric in (eps_s - 1): resolves both the near-unity region probed
-    # by large x and the large-eps_s region probed by small x
-    ratio = (hi - 1.0) / (lo - 1.0)
-    return [1.0 + (lo - 1.0) * ratio ** (k / (points - 1)) for k in range(points)]
+def _scan_grid(eps_s_max: float) -> list[float]:
+    # geometric in (eps_s - 1) from EPS_S_MIN: resolves both the near-unity
+    # region probed by large x and the large-eps_s region probed by small x
+    ratio = (eps_s_max - 1.0) / (EPS_S_MIN - 1.0)
+    return [
+        1.0 + (EPS_S_MIN - 1.0) * ratio ** (k / (_SCAN_POINTS - 1))
+        for k in range(_SCAN_POINTS)
+    ]
 
 
 def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     """Minimum absorption over eps_s and thickness at a fixed ratio.
 
-    Scans eps_s over config.eps_s_range (skipping slices that cannot reach
-    x_target even without loss), golden-section refines the best bracket
-    of each branch, and reports the better branch.  Ties within the
-    objective tolerance go to the thinner slab.  A root that misses the
-    ratio by more than config.constraint_rtol raises RuntimeError.
+    Scans eps_s from EPS_S_MIN to config.eps_s_max (skipping slices that
+    cannot reach x_target even without loss), golden-section refines the
+    best bracket of each branch, and reports the better branch.  Ties
+    within the objective tolerance go to the thinner slab.  A root that
+    misses the ratio by more than config.constraint_rtol raises
+    RuntimeError.
     """
-    lo, hi = config.eps_s_range
-    grid = _scan_grid(lo, hi, _SCAN_POINTS)
+    grid = _scan_grid(config.eps_s_max)
     x_target = config.x_target
     evals = 0
     scan_feasible = 0
@@ -526,7 +534,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
 def extract_alpha(
     x_target: float,
     levels: Sequence[tuple[float, float]] = DEFAULT_LEVELS,
-    eps_s_range: tuple[float, float] = EPS_S_RANGE,
+    eps_s_max: float = EPS_S_MAX,
 ) -> AlphaExtraction:
     """alpha from repeated minimization at shrinking (gamma, omega) levels.
 
@@ -539,7 +547,7 @@ def extract_alpha(
         raise ValueError("need at least one refinement level")
     # every level is validated before any is solved
     configs = [
-        MinimizeConfig(x_target, gamma_tilde, omega_tilde, eps_s_range)
+        MinimizeConfig(x_target, gamma_tilde, omega_tilde, eps_s_max)
         for gamma_tilde, omega_tilde in levels
     ]
     results = tuple(minimize_absorption(cfg) for cfg in configs)
@@ -559,33 +567,33 @@ def extract_alpha(
     )
 
 
-def _sweep_worker(x: float) -> SweepRow:
-    res = minimize_absorption(MinimizeConfig(x_target=x))
+def _sweep_worker(config: MinimizeConfig) -> SweepRow:
+    res = minimize_absorption(config)
     return SweepRow(
-        x=x, alpha=res.alpha, eps_s_star=res.eps_s_star, d_star=res.d_star,
-        p_min=res.p_min, feasible=res.feasible,
+        x=config.x_target, alpha=res.alpha, eps_s_star=res.eps_s_star,
+        d_star=res.d_star, p_min=res.p_min, feasible=res.feasible,
     )
 
 
 def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
     """One default minimization per ratio; rows are independent and deterministic.
 
+    Every ratio is checked by MinimizeConfig before any row is solved, so
+    a non-finite or non-positive ratio raises ValueError up front.
     Per-row infeasibility is recorded in the row, never raised.  With
     jobs > 1 rows are computed in a pool of at most jobs processes, one
     per row and one per CPU (os.cpu_count()) at most; the output order
     and content are identical regardless of jobs.
     """
-    xs = [float(x) for x in x_values]
-    if not xs:
+    configs = [MinimizeConfig(float(x)) for x in x_values]
+    if not configs:
         raise ValueError("x_values must be non-empty")
-    if not all(math.isfinite(x) and x > 0 for x in xs):
-        raise ValueError("x_values must all be finite and positive")
-    workers = min(jobs, len(xs), os.cpu_count() or 1)
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_sweep_worker, xs, chunksize=1)
+            rows = pool.map(_sweep_worker, configs, chunksize=1)
     else:
-        rows = [_sweep_worker(x) for x in xs]
+        rows = [_sweep_worker(cfg) for cfg in configs]
     return tuple(rows)

@@ -131,6 +131,8 @@ def transmission(n: ComplexIndex, phase_arg: float) -> complex:
 
 def reflection(n: ComplexIndex, phase_arg: float, t: complex) -> complex:
     """Reflection amplitude given the matching transmission t."""
+    if phase_arg < 0:
+        raise ValueError(f"phase_arg must be non-negative, got {phase_arg}")
     return _kernel(_airy_factors(n), phase_arg, t)[1]
 
 

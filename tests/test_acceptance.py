@@ -169,7 +169,7 @@ def test_criterion_9_sum_rule():
     model = DrudeLorentzModel([Resonance(1.0, 1.0, 0.1)])
     res = superconvergence_residual(model, 1e3)
     l1, _ = quad(
-        lambda w: abs(np.sqrt(1 + susceptibility(model, np.array([w]))[0]).real - 1),
+        lambda w: abs(np.sqrt(1 + susceptibility(model, w)).real - 1),
         0.0, 1e3, points=[0.0, 0.9, 1.0, 2.0], limit=400,
     )
     ok = abs(res) / l1 < 1e-2

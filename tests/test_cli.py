@@ -151,7 +151,7 @@ class TestMinimize:
         res = run_cli("minimize", "--x", "1", "--eps-s-max", "2e302")
         assert res.returncode == 2
         assert res.stdout == ""
-        assert "eps_s_range" in res.stderr and "Traceback" not in res.stderr
+        assert "eps_s_max" in res.stderr and "Traceback" not in res.stderr
 
     def test_json_format_keys(self, run_cli):
         res = run_cli("minimize", "--x", "1", "--refine-levels", "1", "--format", "json")

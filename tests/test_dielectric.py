@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -66,23 +64,6 @@ class TestSusceptibility:
             exact = susceptibility_highprec(terms, omega)
             here = susceptibility(model, omega)
             assert abs(here - exact) <= 1e-13 * abs(exact)
-
-    def test_array_matches_scalar(self):
-        omegas = np.array([0.0, 0.3, 1.0, 4.7])
-        arr = susceptibility(MODEL, omegas)
-        for w, v in zip(omegas, arr):
-            assert complex(v) == pytest.approx(susceptibility(MODEL, float(w)), rel=1e-15)
-
-    def test_array_accepted_when_numpy_loads_after_the_package(self, cli_env):
-        code = (
-            "from bsbound.dielectric import DrudeLorentzModel, Resonance, susceptibility\n"
-            "import numpy as np\n"
-            "model = DrudeLorentzModel([Resonance(1.0, 1.0, 0.1)])\n"
-            "arr = susceptibility(model, np.array([0.3, 4.7]))\n"
-            "assert isinstance(arr, np.ndarray) and arr.shape == (2,)\n"
-            "assert complex(arr[1]) == susceptibility(model, 4.7)\n"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True, env=cli_env)
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -179,7 +160,7 @@ class TestSumRule:
     def test_residual_small_against_l1_scale(self):
         res = superconvergence_residual(MODEL, 1e3)
         l1, _ = quad(
-            lambda w: abs(np.sqrt(1 + susceptibility(MODEL, np.array([w]))[0]).real - 1),
+            lambda w: abs(np.sqrt(1 + susceptibility(MODEL, w)).real - 1),
             0.0, 1e3, points=[0.0, 0.9, 1.0, 2.0], limit=400,
         )
         assert abs(res) / l1 < 1e-2
@@ -211,6 +192,12 @@ class TestSumRule:
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ValueError):
             superconvergence_residual(MODEL, 0.0)
+
+    @pytest.mark.parametrize("omega_max", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_cutoff_rejected_before_any_panel(self, monkeypatch, omega_max):
+        monkeypatch.setattr(dielectric, "_gauss_panel", pytest.fail)
+        with pytest.raises(ValueError, match="omega_max must be finite"):
+            superconvergence_residual(MODEL, omega_max)
 
 
 class TestValidation:

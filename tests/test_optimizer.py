@@ -78,6 +78,12 @@ class TestThicknessSolve:
             solve_thickness_for_ratio(6.2, -1.0)
         with pytest.raises(ValueError):
             solve_thickness_for_ratio(6.2, 1.0, branch="third")
+        # the thickness divides the phase by omega_tilde
+        for omega_tilde in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="omega_tilde must be positive"):
+                solve_thickness_for_ratio(6.2, 1.0, omega_tilde=omega_tilde)
+        # gamma_tilde = 0 stays the lossless hook
+        assert solve_thickness_for_ratio(6.2, 1.0, gamma_tilde=0.0) > 0
 
 
 class TestMinimize:
@@ -123,9 +129,7 @@ class TestMinimize:
         assert minimize_absorption(cfg) == minimize_absorption(cfg)
 
     def test_infeasible_everywhere(self):
-        res = minimize_absorption(
-            MinimizeConfig(x_target=1.0, eps_s_range=(1.0 + 1e-6, 5.0))
-        )
+        res = minimize_absorption(MinimizeConfig(x_target=1.0, eps_s_max=5.0))
         assert not res.feasible
         assert res.branch == "none"
         assert math.isnan(res.alpha)
@@ -164,19 +168,23 @@ class TestMinimize:
         with pytest.raises(ValueError):
             MinimizeConfig(x_target=-1.0)
         with pytest.raises(ValueError):
-            MinimizeConfig(x_target=1.0, eps_s_range=(0.5, 10.0))
+            MinimizeConfig(x_target=1.0, eps_s_max=0.5)
+        with pytest.raises(ValueError, match="eps_s_max must exceed"):
+            MinimizeConfig(x_target=1.0, eps_s_max=optimizer.EPS_S_MIN)
 
     def test_overflowing_eps_s_ratio_rejected(self):
         with pytest.raises(ValueError, match="too wide"):
-            MinimizeConfig(x_target=1.0, eps_s_range=(1.0 + 1e-6, 2e302))
-        MinimizeConfig(x_target=1.0, eps_s_range=(1.0 + 1e-6, 1e300))
+            MinimizeConfig(x_target=1.0, eps_s_max=2e302)
+        MinimizeConfig(x_target=1.0, eps_s_max=1e300)
 
     def test_underflowing_working_point_rejected(self):
         with pytest.raises(ValueError, match="underflows to zero"):
             MinimizeConfig(1.0, gamma_tilde=1e-200, omega_tilde=1e-200)
 
     def test_slab_evaluation_count(self):
-        # deterministic work counter: a change of it is a change of the solve
+        # deterministic work counter: a change of it is a change of the solve;
+        # cleared first, so the cold memo is what the count is checked on
+        optimizer._slice_valley.cache_clear()
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
         assert res.diagnostics.slab_evaluations == 7389
 
@@ -184,7 +192,7 @@ class TestMinimize:
         cfg = MinimizeConfig(x_target=1.0)
         assert cfg.constraint_rtol == 1e-10
         assert list(MinimizeConfig._fields) == [
-            "x_target", "gamma_tilde", "omega_tilde", "eps_s_range",
+            "x_target", "gamma_tilde", "omega_tilde", "eps_s_max",
         ]
 
 
@@ -218,7 +226,7 @@ class TestExtractAlpha:
         assert len(ladder(1e-3, 1e-3, 324)) == 324
 
     def test_propagates_infeasibility(self):
-        ex = extract_alpha(1.0, eps_s_range=(1.0 + 1e-6, 5.0))
+        ex = extract_alpha(1.0, eps_s_max=5.0)
         assert not ex.feasible
         assert math.isnan(ex.alpha)
 
@@ -251,6 +259,12 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep([])
+
+    def test_every_row_checked_before_any_is_solved(self, monkeypatch):
+        # a bad last ratio fails the sweep before the first row costs a solve
+        monkeypatch.setattr(optimizer, "minimize_absorption", pytest.fail)
+        with pytest.raises(ValueError, match="x_target must be positive"):
+            sweep([1.0, 2.0, 0.0])
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -359,7 +373,7 @@ class TestValleyMemo:
     lambda: MinimizeConfig(x_target=INF),
     lambda: MinimizeConfig(x_target=NAN),
     lambda: MinimizeConfig(x_target=1.0, gamma_tilde=INF),
-    lambda: MinimizeConfig(x_target=1.0, eps_s_range=(2.0, INF)),
+    lambda: MinimizeConfig(x_target=1.0, eps_s_max=INF),
     lambda: solve_thickness_for_ratio(INF, 1.0),
     lambda: solve_thickness_for_ratio(6.2, NAN),
     lambda: solve_thickness_for_ratio(6.2, 1.0, omega_tilde=INF),
@@ -372,6 +386,8 @@ def test_non_finite_inputs_rejected(call):
 
 
 def test_solver_reprs_match_golden():
-    # scripts/make_goldens.py writes the golden and renders the same cases
+    # scripts/make_goldens.py writes the golden and renders the same cases,
+    # from a cold valley memo as a fresh process does
+    optimizer._slice_valley.cache_clear()
     expected = (GOLDEN / make_goldens.SOLVER_GOLDEN).read_text()
     assert make_goldens.solver_reprs() == expected

@@ -28,7 +28,7 @@ RECORDS = [
     (ComplexIndex(2.5, 1e-4), {"eta": 0.0}),
     (ScaledSlabParams(1e-3, 1e-3, 500.0, 6.2), {"eps_s": 1.0}),
     (DecayContext(1e9, 2.5), {"eta": 1.0}),
-    (MinimizeConfig(1.0), {"eps_s_range": (10.0, 2.0)}),
+    (MinimizeConfig(1.0), {"eps_s_max": 0.5}),
     (SlabResponse(0.7 + 0.1j, 0.1 - 0.6j, 1e-6, 1.3), None),
     (DIAGNOSTICS, None),
     (RESULT, None),

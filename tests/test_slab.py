@@ -102,6 +102,8 @@ class TestAmplitudes:
     def test_negative_phase_rejected(self):
         with pytest.raises(ValueError):
             transmission(ComplexIndex(2.0, 0.0), -1.0)
+        with pytest.raises(ValueError, match="phase_arg must be non-negative"):
+            reflection(ComplexIndex(2.0, 0.0), -5.0, 0.5 + 0j)
 
 
 class TestKernel:
