@@ -64,23 +64,14 @@ def _solve_failed(exc: RuntimeError) -> ValueError:
 def _extract(x: float, levels: Sequence, eps_s_max: float) -> optimizer.AlphaExtraction:
     """extract_alpha over `levels`, as the CLI reports it.
 
-    A failed solve or a reported p_min <= 0 (the working point is below
-    the resolution of p) raises ValueError.  A drift that breaks the
-    separable scaling gets a warning on stderr; one level measures no
-    drift.
+    A failed solve raises ValueError, as extract_alpha does for a level
+    whose p_min is not positive.  A drift that breaks the separable
+    scaling gets a warning on stderr; one level measures no drift.
     """
     try:
         ex = optimizer.extract_alpha(x, levels, eps_s_max)
     except RuntimeError as exc:
         raise _solve_failed(exc) from None
-    p_min = ex.results[-1].p_min
-    if p_min <= 0.0:
-        gamma, omega = levels[-1]
-        raise ValueError(
-            f"p_min = {p_min!r} is not positive at gamma*omega = {gamma * omega!r}: "
-            f"p = 1 - |t|^2 - |r|^2 resolves absorption only to about "
-            f"{sys.float_info.epsilon!r}, so raise --gamma or --omega"
-        )
     if ex.drift > optimizer._DRIFT_TOL:
         print(
             f"warning: alpha_drift = {ex.drift!r} exceeds "

@@ -91,6 +91,8 @@ class ComplexIndex(_Checked, namedtuple("ComplexIndex", "eta kappa")):
     __slots__ = ()
 
     def __new__(cls, eta: float, kappa: float) -> "ComplexIndex":
+        if not (math.isfinite(eta) and math.isfinite(kappa)):
+            raise ValueError(f"eta and kappa must be finite, got eta={eta}, kappa={kappa}")
         if not eta > 0:
             raise ValueError(f"eta must be positive, got {eta}")
         if kappa < 0:
@@ -108,6 +110,8 @@ def susceptibility(model: DrudeLorentzModel, omega: float) -> complex:
     The imaginary part is strictly positive for omega > 0 whenever every
     gamma > 0, and exactly zero at omega = 0.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if omega < 0:
         raise ValueError(f"omega must be non-negative, got {omega}")
     if omega == 0:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from collections import namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -454,7 +455,8 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     best bracket of each branch, and reports the better branch.  Ties
     within the objective tolerance go to the thinner slab.  A root that
     misses the ratio by more than config.constraint_rtol raises
-    RuntimeError.
+    RuntimeError.  A feasible optimum with p_min <= 0, a working point
+    below the resolution of p, raises ValueError.
     """
     grid = _scan_grid(config.eps_s_max)
     x_target = config.x_target
@@ -513,6 +515,13 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     if len(optima) == 2 and optima[1].p < optima[0].p * (1.0 - _OBJECTIVE_RTOL):
         optima.reverse()
     chosen = optima[0] if optima else _NO_ROOT
+    if chosen.p <= 0.0:
+        raise ValueError(
+            f"p_min = {chosen.p!r} is not positive at gamma*omega = "
+            f"{config.gamma_tilde * config.omega_tilde!r}: "
+            f"p = 1 - |t|^2 - |r|^2 resolves absorption only to about "
+            f"{sys.float_info.epsilon!r}, so raise gamma_tilde or omega_tilde"
+        )
     return MinimizeResult(
         alpha=chosen.p / (config.gamma_tilde * config.omega_tilde),
         eps_s_star=chosen.eps_s,

@@ -8,6 +8,7 @@ the resonance frequency, thickness as d = omega_t * l / c.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 from typing import NamedTuple, Optional
@@ -28,6 +29,8 @@ __all__ = [
 
 # bound once: the kernel calls it four times per phase
 _exp = cmath.exp
+# materials whose Airy factors _working_factors keeps, about 35 KB when full
+_FACTOR_MEMO_SIZE = 64
 
 
 class DegenerateDenominatorError(ArithmeticError):
@@ -124,14 +127,14 @@ def _kernel(
 
 def transmission(n: ComplexIndex, phase_arg: float) -> complex:
     """Transmission amplitude for vacuum phase phase_arg = omega*l/c."""
-    if phase_arg < 0:
+    if not phase_arg >= 0:
         raise ValueError(f"phase_arg must be non-negative, got {phase_arg}")
     return _kernel(_airy_factors(n), phase_arg)[0]
 
 
 def reflection(n: ComplexIndex, phase_arg: float, t: complex) -> complex:
     """Reflection amplitude given the matching transmission t."""
-    if phase_arg < 0:
+    if not phase_arg >= 0:
         raise ValueError(f"phase_arg must be non-negative, got {phase_arg}")
     return _kernel(_airy_factors(n), phase_arg, t)[1]
 
@@ -144,13 +147,30 @@ def working_index(eps_s: float, gamma_tilde: float, omega_tilde: float) -> Compl
     return refractive_index(model, omega_tilde)
 
 
+@functools.lru_cache(maxsize=_FACTOR_MEMO_SIZE)
+def _working_factors(
+    eps_s: float, gamma_tilde: float, omega_tilde: float
+) -> tuple[complex, ...]:
+    """_airy_factors of working_index, memoized per process.
+
+    working_index is looked up at call time, so a patched name sees every
+    miss.  A raise is not stored: the same inputs raise again on the next
+    call.
+    """
+    return _airy_factors(working_index(eps_s, gamma_tilde, omega_tilde))
+
+
 def evaluate(params: ScaledSlabParams) -> SlabResponse:
     """Full response at one working point.
 
     Builds the single-resonance model with omega_p^2 = eps_s - 1 in scaled
     units, evaluates the index at omega_tilde, and applies the slab
-    formulas at vacuum phase omega_tilde * d.
+    formulas at vacuum phase omega_tilde * d.  The index factors of the
+    last _FACTOR_MEMO_SIZE materials (eps_s, gamma_tilde, omega_tilde) are
+    kept, so a thickness scan builds them once; the floats are the same
+    either way.
     """
-    n = working_index(params.eps_s, params.gamma_tilde, params.omega_tilde)
-    t, r, p, x = _kernel(_airy_factors(n), params.omega_tilde * params.d)
-    return SlabResponse(t=t, r=r, p=p, x=x)
+    omega_tilde, gamma_tilde, d, eps_s = params
+    return SlabResponse(
+        *_kernel(_working_factors(eps_s, gamma_tilde, omega_tilde), omega_tilde * d)
+    )

@@ -332,10 +332,10 @@ class TestScalingWarning:
 class TestUnresolvedAbsorption:
     """A working point below the resolution of p is an input error, not a result."""
 
-    # the error names the working point of the last ladder level
+    # the error names the first ladder level whose p_min is not positive
     @pytest.mark.parametrize("level, levels, gamma_omega", [
-        ("1e-8", "2", "1e-18"),
-        ("1e-9", "2", "1.0000000000000004e-20"),
+        ("1e-8", "2", "1.0000000000000001e-16"),
+        ("1e-9", "2", "1e-18"),
         ("1e-9", "1", "1e-18"),
     ])
     def test_non_positive_p_min_exit_2(self, run_cli, level, levels, gamma_omega):

@@ -69,6 +69,13 @@ class TestSusceptibility:
         with pytest.raises(ValueError):
             susceptibility(MODEL, -0.1)
 
+    @pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan])
+    def test_non_finite_frequency_rejected(self, omega):
+        # refractive_index goes through susceptibility, so it names omega too
+        for f in (susceptibility, refractive_index):
+            with pytest.raises(ValueError, match=r"^omega must be finite, got "):
+                f(MODEL, omega)
+
     @given(model=model_st, omega=st.floats(1e-6, 100.0))
     @settings(max_examples=200, deadline=None)
     def test_imaginary_part_positive(self, model, omega):
@@ -136,6 +143,11 @@ class TestLowFrequencyApprox:
         exact = refractive_index(MODEL, 1e-2)
         approx = low_frequency_approx(MODEL, 1e-2)
         assert abs(approx.kappa - exact.kappa) / exact.kappa < 1e-3
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_non_finite_kappa_rejected(self, omega):
+        with pytest.raises(ValueError, match="must be finite"):
+            low_frequency_approx(MODEL, omega)
 
     def test_quadratic_error_decay(self):
         # halving omega should shrink the kappa error about fourfold
@@ -222,3 +234,10 @@ class TestValidation:
             ComplexIndex(eta=0.0, kappa=0.0)
         with pytest.raises(ValueError):
             ComplexIndex(eta=1.0, kappa=-1e-12)
+
+    @pytest.mark.parametrize("eta, kappa", [
+        (math.inf, 0.0), (math.nan, 0.0), (1.5, math.inf), (1.5, math.nan),
+    ])
+    def test_complex_index_rejects_non_finite_fields(self, eta, kappa):
+        with pytest.raises(ValueError, match="eta and kappa must be finite"):
+            ComplexIndex(eta, kappa)

@@ -181,6 +181,15 @@ class TestMinimize:
         with pytest.raises(ValueError, match="underflows to zero"):
             MinimizeConfig(1.0, gamma_tilde=1e-200, omega_tilde=1e-200)
 
+    def test_unresolved_absorption_rejected(self):
+        # p ~ 1e-18 here, below the ~1e-16 rounding of 1 - |t|^2 - |r|^2
+        with pytest.raises(ValueError, match=(
+            r"^p_min = -\S+ is not positive at gamma\*omega = 1e-18: "
+            r"p = 1 - \|t\|\^2 - \|r\|\^2 resolves absorption only to about "
+            r"2\.220446049250313e-16"
+        )):
+            minimize_absorption(MinimizeConfig(1.0, 1e-9, 1e-9))
+
     def test_slab_evaluation_count(self):
         # deterministic work counter: a change of it is a change of the solve;
         # cleared first, so the cold memo is what the count is checked on
@@ -224,6 +233,10 @@ class TestExtractAlpha:
         with pytest.raises(ValueError, match="underflows to zero on a ladder of"):
             ladder(1e-3, 1e-3, count)
         assert len(ladder(1e-3, 1e-3, 324)) == 324
+
+    def test_unresolved_absorption_rejected(self):
+        with pytest.raises(ValueError, match=r"^p_min = .* is not positive at gamma\*omega = 1e-18: "):
+            extract_alpha(1.0, ladder(1e-9, 1e-9, 2))
 
     def test_propagates_infeasibility(self):
         ex = extract_alpha(1.0, eps_s_max=5.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsbound import slab
 from bsbound.dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refractive_index
@@ -83,6 +84,8 @@ class TestAmplitudes:
                 assert (t, reflection(n, float(phase), t)) == inline_slab(n, float(phase))[:2]
 
     def test_slab_calls_leave_the_index_untouched(self, monkeypatch):
+        # cleared first, so evaluate below builds its index rather than reusing one
+        slab._working_factors.cache_clear()
         n = working_index(6.2, 1e-3, 1e-3)
         fields = (n.eta, n.kappa)
         t = transmission(n, 0.5)
@@ -104,6 +107,11 @@ class TestAmplitudes:
             transmission(ComplexIndex(2.0, 0.0), -1.0)
         with pytest.raises(ValueError, match="phase_arg must be non-negative"):
             reflection(ComplexIndex(2.0, 0.0), -5.0, 0.5 + 0j)
+        for phase in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="phase_arg must be non-negative"):
+                transmission(ComplexIndex(2.0, 0.0), phase)
+            with pytest.raises(ValueError, match="phase_arg must be non-negative"):
+                reflection(ComplexIndex(2.0, 0.0), phase, 0.5 + 0j)
 
 
 class TestKernel:
@@ -146,6 +154,74 @@ class TestKernel:
             out = _kernel(_airy_factors(n), 1e-3 * d)
             assert out == inline_slab(n, 1e-3 * d)
             assert abs(out[2]) < 1e-12
+
+
+def outcome(call):
+    """Field reprs of call(), or the exception type it raised.
+
+    Equal repr lists mean equal bits, signed zeros and NaNs included.
+    """
+    try:
+        return [repr(v) for v in call()]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+class TestFactorMemo:
+    """evaluate keeps each material's Airy factors; its floats do not depend on that."""
+
+    @given(
+        eps_s=st.one_of(st.floats(1.0, 1e3, exclude_min=True), st.integers(2, 1000)),
+        gamma=st.one_of(st.sampled_from([0.0, -0.0, 0]), st.floats(0.0, 1.0),
+                        st.integers(0, 2)),
+        omega=st.one_of(st.floats(1e-6, 3.0), st.integers(1, 3)),
+        d=st.one_of(st.floats(0.0, 1e3), st.integers(0, 1000)),
+        other_d=st.floats(0.0, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cold_and_warm_match_the_unmemoized_chain_bit_for_bit(
+        self, eps_s, gamma, omega, d, other_d
+    ):
+        expected = outcome(
+            lambda: _kernel(_airy_factors(working_index(eps_s, gamma, omega)), omega * d)
+        )
+        params = ScaledSlabParams(omega, gamma, d, eps_s)
+        slab._working_factors.cache_clear()
+        assert outcome(lambda: evaluate(params)) == expected  # cold
+        assert outcome(lambda: evaluate(params)) == expected  # warm, filled by this call
+        # the memo key does not tell 6 from 6.0 or 0.0 from -0.0: fill it at
+        # another thickness through the float twin with the other zero sign
+        twin_gamma = float(gamma) if gamma else -math.copysign(0.0, gamma)
+        slab._working_factors.cache_clear()
+        outcome(lambda: evaluate(
+            ScaledSlabParams(float(omega), twin_gamma, other_d, float(eps_s))))
+        assert outcome(lambda: evaluate(params)) == expected
+
+    def test_pole_raises_on_every_call(self):
+        # the gamma = 0 hook exactly on resonance: a raise is not memoized
+        params = ScaledSlabParams(omega_tilde=1.0, gamma_tilde=0.0, d=1.0, eps_s=6.2)
+        slab._working_factors.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="susceptibility pole"):
+                evaluate(params)
+        assert slab._working_factors.cache_info().currsize == 0
+
+    def test_one_index_per_material(self, monkeypatch):
+        slab._working_factors.cache_clear()
+        built = []
+        monkeypatch.setattr(
+            slab, "working_index", lambda *args: built.append(args) or working_index(*args)
+        )
+        for d in (400.0, 500.0, 600.0):
+            evaluate(ScaledSlabParams(1e-3, 1e-3, d, 6.2))
+        evaluate(ScaledSlabParams(1e-3, 1e-3, 500.0, 6.3))
+        assert built == [(6.2, 1e-3, 1e-3), (6.3, 1e-3, 1e-3)]
+
+    def test_bounded(self):
+        slab._working_factors.cache_clear()
+        for k in range(2 * slab._FACTOR_MEMO_SIZE):
+            evaluate(ScaledSlabParams(1e-3, 1e-3, 500.0, 2.0 + k))
+        assert slab._working_factors.cache_info().currsize == slab._FACTOR_MEMO_SIZE
 
 
 class TestEvaluate:
