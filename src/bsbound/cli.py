@@ -3,7 +3,8 @@
 Every emitted record echoes its inputs so any row can be reproduced from
 the record alone.  Floats are printed with Python's shortest round-trip
 representation; CSV uses a frozen column order and JSON lines use the
-same keys.  Exit codes: 0 success, 2 usage or validation error or a
+same keys, with a non-finite float written as the string CSV prints for
+it ("nan", "inf", "-inf").  Exit codes: 0 success, 2 usage or validation error or a
 failed solve, 3 infeasible constraint.  Every command raises ValueError
 for an exit 2, and `main` alone reports it as one `error:` line; the
 optimizer's RuntimeError (a root that misses the ratio tolerance) is
@@ -40,7 +41,16 @@ def _emit(records: list, fmt: str, out: Optional[str]) -> None:
     else:
         import json  # only --format json needs it; keeps the cold start light
 
-        lines = [json.dumps(dict(rec)) for rec in records]
+        # RFC 8259 has no NaN or Infinity: a non-finite float is written as
+        # the string CSV prints for it
+        lines = [
+            json.dumps(
+                {k: _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in rec},
+                allow_nan=False,
+            )
+            for rec in records
+        ]
     text = "\n".join(lines) + "\n"
     if out:
         try:

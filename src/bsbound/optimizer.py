@@ -16,14 +16,17 @@ One slice solve serves minimize_absorption and solve_thickness_for_ratio;
 in both, a root that misses MinimizeConfig.constraint_rtol raises
 RuntimeError.
 
-The valley of a slice depends on (eps_s, gamma_tilde, omega_tilde) but not
-on the target ratio, so it is memoized: every ratio solved at a working
-point reuses the valleys that an earlier solve there found.  The memo is
-per process (each sweep pool worker fills its own) and bounded to
-_VALLEY_MEMO_SIZE slices, about 1.5 MB, the least recently used evicted
-first.  Results do not depend on it: a memo hit returns the floats a
-fresh search would, and MinimizeDiagnostics.slab_evaluations counts the
-valley search's evaluations either way.
+The valley of a slice and ln x at both ends of the period depend on
+(eps_s, gamma_tilde, omega_tilde) but not on the target ratio, so they are
+memoized: every ratio solved at a working point reuses the valleys and
+bracket ends that an earlier solve there found.  The memo is per process
+(each sweep pool worker fills its own) and bounded to _VALLEY_MEMO_SIZE
+slices, about 1.6 MB, the least recently used evicted first.  Within a
+solve each phase is evaluated once: a root's p and x come from the
+evaluation brentq made at that phase.  Results do not depend on either: a
+memo hit returns the floats a fresh search would, and
+MinimizeDiagnostics.slab_evaluations counts memoized and reused
+evaluations as if they were made again.
 """
 
 from __future__ import annotations
@@ -205,12 +208,16 @@ class SweepRow(NamedTuple):
 def _golden_min(
     f: Callable[[float], float], a: float, b: float
 ) -> tuple[float, float, int]:
-    """Golden-section minimum of f on [a, b]; returns (x, f(x), iterations)."""
+    """Golden-section minimum of f on [a, b]; returns (x, f(x), iterations).
+
+    The bracket must satisfy 0 < a < b: the search stops once b - a is at
+    most _GOLDEN_RTOL * b.  f is called iterations + 2 times.
+    """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     iters = 0
-    while (b - a) > _GOLDEN_RTOL * max(abs(a), abs(b)):
+    while (b - a) > _GOLDEN_RTOL * b:
         iters += 1
         if fc < fd:
             b, d, fd = d, c, fc
@@ -232,40 +239,47 @@ def brentq(
 ) -> float:
     """Root of f in [a, b] by Brent's method, as scipy.optimize.brentq.
 
-    A line-for-line port of scipy's brentq.c at xtol=_XTOL, rtol=_RTOL:
-    the same steps in the same floating-point order, so both return the
-    same float for the same f.  fa = f(a) and fb = f(b) must differ in
-    sign; f is not called at a or b.  A NaN value of f raises ValueError;
-    no convergence within _MAXITER iterations raises RuntimeError.
+    The same steps and floating-point operations as scipy's brentq.c at
+    xtol=_XTOL, rtol=_RTOL, so both return the same float for the same f.
+    fa = f(a) and fb = f(b) must differ in sign; f is not called at a or
+    b.  A NaN value of f raises ValueError; no convergence within
+    _MAXITER iterations raises RuntimeError.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = fa, fb
-    if math.isnan(fpre):
+    # v != v holds only for NaN; below, the sign of a nonzero, non-NaN v is
+    # v < 0, the test brentq.c makes with signbit
+    if fpre != fpre:
         raise _nan_value(xpre)
-    if math.isnan(fcur):
+    if fcur != fcur:
         raise _nan_value(xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
         return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk = xpre
             fblk = fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        afblk = abs(fblk)
+        afcur = abs(fcur)
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            afcur = afblk
 
         delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        asbis = abs(sbis)
+        if fcur == 0 or asbis < delta:
             return xcur
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = abs(spre)
+        if aspre > delta and afcur < abs(fpre):
             if xpre == xblk:
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -274,7 +288,9 @@ def brentq(
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            # min(aspre, limit) written out, picking as min() does
+            limit = 3 * asbis - delta
+            if 2 * abs(stry) < (limit if limit < aspre else aspre):
                 # good short step
                 spre = scur
                 scur = stry
@@ -290,7 +306,7 @@ def brentq(
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
-        if math.isnan(fcur):
+        if fcur != fcur:
             raise _nan_value(xcur)
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
@@ -320,7 +336,9 @@ class _Valley(NamedTuple):
     eta0 = sqrt(eps_s), eta is the working index's real part, factors are
     its _airy_factors, and the valley of ln x(phi) in the first period
     sits at phi_valley with value ln_x_valley; the search took
-    evaluations slab evaluations.
+    evaluations slab evaluations.  ln_x_lo and ln_x_hi are ln x at the
+    period's ends _PHI_LO and _PHI_HI, where the root brackets start; a
+    solve counts each end it uses as one more evaluation.
     """
 
     eta0: float
@@ -329,24 +347,26 @@ class _Valley(NamedTuple):
     phi_valley: float
     ln_x_valley: float
     evaluations: int
+    ln_x_lo: float
+    ln_x_hi: float
 
 
 @functools.lru_cache(maxsize=_VALLEY_MEMO_SIZE)
 def _slice_valley(eps_s: float, gamma_tilde: float, omega_tilde: float) -> _Valley:
-    """Index, Airy factors and ratio valley of one slice, memoized per process."""
+    """Index, Airy factors, ratio valley and end ratios of one slice, memoized per process."""
     eta0 = math.sqrt(eps_s)
     # looked up at call time, so a patched working_index sees every miss
     index = working_index(eps_s, gamma_tilde, omega_tilde)
     factors = _airy_factors(index)
-    evals = 0
 
     def ln_ratio(phi: float) -> float:
-        nonlocal evals
-        evals += 1
         return math.log(_kernel(factors, phi / eta0)[3])
 
-    phi_valley, ln_x_valley, _ = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
-    return _Valley(eta0, index.eta, factors, phi_valley, ln_x_valley, evals)
+    phi_valley, ln_x_valley, iters = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
+    return _Valley(
+        eta0, index.eta, factors, phi_valley, ln_x_valley, iters + 2,
+        ln_ratio(_PHI_LO), ln_ratio(_PHI_HI),
+    )
 
 
 def _solve_slice(
@@ -359,38 +379,49 @@ def _solve_slice(
     """Roots of x(phi) = x_target in the first period of one eps_s slice.
 
     Returns the roots of `branches`, in that order, and the number of slab
-    evaluations they are built from, the valley search's included.  The
-    list is empty when the slice cannot reach the target ratio (the valley
-    of x(phi) stays above x_target), and leaves out a branch whose
-    reachable range stays below it.  A root whose ratio misses x_target
-    by more than MinimizeConfig.constraint_rtol raises RuntimeError.
+    evaluations they are built from: the valley search's, the bracket
+    end's and the root's, memoized or reused ones included.  The list is
+    empty when the slice cannot reach the target ratio (the valley of
+    x(phi) stays above x_target), and leaves out a branch whose reachable
+    range stays below it.  A root whose ratio misses x_target by more
+    than MinimizeConfig.constraint_rtol raises RuntimeError.
     """
-    eta0, eta, factors, phi_valley, ln_x_valley, evals = _slice_valley(
-        eps_s, gamma_tilde, omega_tilde
+    eta0, eta, factors, phi_valley, ln_x_valley, evals, ln_x_lo, ln_x_hi = (
+        _slice_valley(eps_s, gamma_tilde, omega_tilde)
     )
     ln_xt = math.log(x_target)
     if ln_x_valley > ln_xt:
         return [], evals
 
+    # phase -> kernel result of every h call, so a root's p and x come from
+    # the evaluation brentq made there
+    kept: dict[float, tuple] = {}
+
     def h(phi: float) -> float:
         nonlocal evals
         evals += 1
-        return math.log(_kernel(factors, phi / eta0)[3]) - ln_xt
+        k = kept[phi] = _kernel(factors, phi / eta0)
+        return math.log(k[3]) - ln_xt
 
-    # each phase is evaluated once: h at the valley is known from the
-    # search, and the endpoint values are handed to brentq
+    # each phase is evaluated once: the valley and both period ends come
+    # from the memo, and the root from brentq's own evaluation
     h_valley = ln_x_valley - ln_xt
     roots = []
     for branch in branches:
         if branch == "first":
-            a, ha, b, hb = _PHI_LO, h(_PHI_LO), phi_valley, h_valley
+            a, ha, b, hb = _PHI_LO, ln_x_lo - ln_xt, phi_valley, h_valley
         else:
-            a, ha, b, hb = phi_valley, h_valley, _PHI_HI, h(_PHI_HI)
+            a, ha, b, hb = phi_valley, h_valley, _PHI_HI, ln_x_hi - ln_xt
+        evals += 1  # the end value, memoized with the valley
         if ha * hb > 0.0:
             continue  # target above this branch's reachable range
         phi = brentq(h, a, b, ha, hb)
-        evals += 1
-        _, _, p, x = _kernel(factors, phi / eta0)
+        evals += 1  # the root's p and x, reused from h where it ran
+        k = kept.get(phi)
+        if k is None:
+            # a bracket end, where brentq did not call h
+            k = _kernel(factors, phi / eta0)
+        _, _, p, x = k
         residual = abs(x - x_target) / x_target
         if residual > MinimizeConfig.constraint_rtol:
             raise RuntimeError(

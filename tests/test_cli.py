@@ -29,6 +29,15 @@ def parse_csv_record(text):
     return out
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
+def strict_json(line):
+    """json.loads that rejects the NaN and Infinity tokens Python accepts."""
+    return json.loads(line, parse_constant=_reject_constant)
+
+
 class TestEval:
     def test_lossless_record(self, run_cli):
         res = run_cli("eval", "--eps-s", "6.2", "--gamma", "0", "--omega", "1e-3",
@@ -155,7 +164,8 @@ class TestMinimize:
 
     def test_json_format_keys(self, run_cli):
         res = run_cli("minimize", "--x", "1", "--refine-levels", "1", "--format", "json")
-        rec = json.loads(res.stdout)
+        rec = strict_json(res.stdout)
+        assert rec["alpha_drift"] == "nan"
         assert list(rec) == [
             "x", "gamma", "omega", "eps_s_max", "refine_levels", "alpha",
             "alpha_drift", "eps_s", "d", "p_min", "phi", "branch", "feasible",
@@ -194,8 +204,31 @@ class TestSweep:
         lines = res.stdout.strip().split("\n")
         assert len(lines) == 3
         for line in lines:
-            rec = json.loads(line)
+            rec = strict_json(line)
             assert list(rec) == ["x", "alpha", "eps_s", "d", "p_min", "feasible"]
+
+    @pytest.mark.parametrize("args, code", [
+        (("minimize", "--x", "1", "--refine-levels", "1"), 0),
+        (("minimize", "--x", "1e-4"), 3),
+        (("sweep", "--x-min", "1e-4", "--x-max", "1", "--points", "2", "--log"), 0),
+        (("eval", "--eps-s", "6.2", "--gamma", "1e-3", "--omega", "1e-3",
+          "--thickness", "0"), 0),
+    ], ids=["drift-nan", "infeasible-row", "infeasible-sweep-row", "x-inf"])
+    def test_json_non_finite_written_as_csv_strings(self, capsys, args, code):
+        assert cli.main([*args, "--format", "json"]) == code
+        records = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
+        assert cli.main(list(args)) == code
+        header, *rows = capsys.readouterr().out.splitlines()
+        non_finite = 0
+        for rec, row in zip(records, rows, strict=True):
+            assert list(rec) == header.split(",")
+            for value, raw in zip(rec.values(), row.split(",")):
+                if raw in ("nan", "inf", "-inf"):
+                    assert value == raw
+                    non_finite += 1
+                else:
+                    assert not isinstance(value, str) or value == raw
+        assert non_finite > 0
 
     def test_linear_grid_is_linspace(self):
         rng = np.random.default_rng(20261018)

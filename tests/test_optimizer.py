@@ -197,6 +197,24 @@ class TestMinimize:
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
         assert res.diagnostics.slab_evaluations == 7389
 
+    def test_kernel_call_count(self, monkeypatch):
+        # the kernel calls actually made: valleys and period ends found by
+        # the x = 1 solve come from the memo, and each root's p and x from
+        # brentq's evaluation, so fewer calls than slab_evaluations counts
+        optimizer._slice_valley.cache_clear()
+        minimize_absorption(MinimizeConfig(x_target=1.0))
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(optimizer, "_kernel", counted)
+        res = minimize_absorption(MinimizeConfig(x_target=2.0))
+        assert calls == 5210
+        assert res.diagnostics.slab_evaluations == 7953
+
     def test_fixed_constraint_tolerance(self):
         cfg = MinimizeConfig(x_target=1.0)
         assert cfg.constraint_rtol == 1e-10
@@ -376,6 +394,57 @@ class TestValleyMemo:
         # x = 0.5 shares the feasible scan slices of x = 1; its refinement is new
         assert 0 < index_calls(0.5) < cold
         assert index_calls(1.0) == 0
+
+
+# scan-grid and off-grid slices, at the default and another working point
+REUSE_SLICES = [
+    (eps_s, gamma_tilde, omega_tilde)
+    for eps_s in optimizer._scan_grid(optimizer.EPS_S_MAX)[150::21] + [1.5, 6.2, 40.0]
+    for gamma_tilde, omega_tilde in (optimizer.WORKING_POINT, (2e-4, 3e-2))
+]
+
+
+class TestInnerSolveReuse:
+    """A memoized or reused evaluation is the float a fresh kernel call gives."""
+
+    @pytest.mark.parametrize("eps_s, gamma_tilde, omega_tilde", REUSE_SLICES)
+    def test_memoized_ends_match_fresh_kernel(self, eps_s, gamma_tilde, omega_tilde):
+        valley = optimizer._slice_valley(eps_s, gamma_tilde, omega_tilde)
+        for phi, ln_x in ((optimizer._PHI_LO, valley.ln_x_lo),
+                          (optimizer._PHI_HI, valley.ln_x_hi)):
+            fresh = _kernel(valley.factors, phi / valley.eta0)[3]
+            assert ln_x == math.log(fresh)
+
+    @pytest.mark.parametrize("eps_s, gamma_tilde, omega_tilde", REUSE_SLICES)
+    def test_root_matches_fresh_kernel_at_its_phase(
+        self, eps_s, gamma_tilde, omega_tilde, monkeypatch
+    ):
+        phases = []
+        real = optimizer.brentq
+
+        def recorded(*args):
+            phases.append(real(*args))
+            return phases[-1]
+
+        monkeypatch.setattr(optimizer, "brentq", recorded)
+        valley = optimizer._slice_valley(eps_s, gamma_tilde, omega_tilde)
+        # the valley's own ratio puts both roots at a bracket end, where
+        # brentq makes no evaluation
+        targets = [1e-1, 1.0, 1e3, 1e6, math.exp(valley.ln_x_valley)]
+        checked = 0
+        for x_target in targets:
+            phases.clear()
+            roots, _ = optimizer._solve_slice(
+                eps_s, gamma_tilde, omega_tilde, x_target, optimizer._BRANCHES
+            )
+            assert len(roots) == len(phases)
+            for root, phi in zip(roots, phases):
+                _, _, p, x = _kernel(valley.factors, phi / valley.eta0)
+                assert root.p == p
+                assert root.residual == abs(x - x_target) / x_target
+                assert root.d == phi / (valley.eta0 * omega_tilde)
+                checked += 1
+        assert checked >= 2
 
 
 @pytest.mark.parametrize("call", [
