@@ -4,11 +4,11 @@ Every emitted record echoes its inputs so any row can be reproduced from
 the record alone.  Floats are printed with Python's shortest round-trip
 representation; CSV uses a frozen column order and JSON lines use the
 same keys, with a non-finite float written as the string CSV prints for
-it ("nan", "inf", "-inf").  Exit codes: 0 success, 2 usage or validation error or a
-failed solve, 3 infeasible constraint.  Every command raises ValueError
-for an exit 2, and `main` alone reports it as one `error:` line; the
-optimizer's RuntimeError (a root that misses the ratio tolerance) is
-turned into one at the two optimizer calls.
+it ("nan", "inf", "-inf").  Exit codes: 0 success, 2 usage or validation
+error or a failed solve, 3 infeasible constraint.  Every command raises
+ValueError for an exit 2, and `main` alone reports it as one `error:`
+line; the optimizer's RuntimeError (a root that misses the ratio
+tolerance) is turned into one at the two optimizer calls.
 """
 
 from __future__ import annotations

@@ -353,7 +353,7 @@ class _Valley(NamedTuple):
 
 @functools.lru_cache(maxsize=_VALLEY_MEMO_SIZE)
 def _slice_valley(eps_s: float, gamma_tilde: float, omega_tilde: float) -> _Valley:
-    """Index, Airy factors, ratio valley and end ratios of one slice, memoized per process."""
+    """Index, Airy factors, valley and end ratios of one slice, memoized per process."""
     eta0 = math.sqrt(eps_s)
     # looked up at call time, so a patched working_index sees every miss
     index = working_index(eps_s, gamma_tilde, omega_tilde)

@@ -428,11 +428,8 @@ class TestInnerSolveReuse:
 
         monkeypatch.setattr(optimizer, "brentq", recorded)
         valley = optimizer._slice_valley(eps_s, gamma_tilde, omega_tilde)
-        # the valley's own ratio puts both roots at a bracket end, where
-        # brentq makes no evaluation
-        targets = [1e-1, 1.0, 1e3, 1e6, math.exp(valley.ln_x_valley)]
-        checked = 0
-        for x_target in targets:
+        branches = set()
+        for x_target in (1e-1, 1.0, 1e3, 1e6, math.exp(valley.ln_x_valley)):
             phases.clear()
             roots, _ = optimizer._solve_slice(
                 eps_s, gamma_tilde, omega_tilde, x_target, optimizer._BRANCHES
@@ -443,8 +440,11 @@ class TestInnerSolveReuse:
                 assert root.p == p
                 assert root.residual == abs(x - x_target) / x_target
                 assert root.d == phi / (valley.eta0 * omega_tilde)
-                checked += 1
-        assert checked >= 2
+                branches.add(root.branch)
+        assert branches == set(optimizer._BRANCHES)
+        # at the valley's own ratio both roots sit on the bracket end, where
+        # brentq calls no h, so their p and x come from a fresh kernel call
+        assert phases == [valley.phi_valley, valley.phi_valley]
 
 
 @pytest.mark.parametrize("call", [
