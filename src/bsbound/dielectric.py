@@ -29,15 +29,27 @@ class QuadratureError(RuntimeError):
 
 
 class _Checked:
-    """Base of a namedtuple record whose __new__ checks its fields.
+    """Base of a namedtuple record whose fields are checked on every build.
 
-    Put first among the bases.  The record's own __new__ raises ValueError
-    on a bad field and builds the tuple with tuple.__new__.  _make, and so
-    _replace, goes through __new__ too, as do pickling and copying, so
-    every way of building a record runs the checks.
+    Put first among the bases.  __new__ builds the tuple with the
+    namedtuple's own __new__, so keywords and defaults bind as usual; it
+    then raises ValueError if any field is not finite (nan, inf or -inf),
+    and last calls the record's _check, which raises ValueError on the
+    record's own rules.  _make, and so _replace, goes through __new__ too,
+    as do pickling and copying, so every way of building a record runs
+    the checks.  A record with a field that is not a float defines its
+    own __new__ instead.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(map(math.isfinite, self)):
+            *head, last = self._fields
+            raise ValueError(f"{', '.join(head)} and {last} must be finite, got {self!r}")
+        self._check()
+        return self
 
     @classmethod
     def _make(cls, iterable):
@@ -56,14 +68,14 @@ class Resonance(_Checked, namedtuple("Resonance", "omega_t omega_p gamma")):
 
     __slots__ = ()
 
-    def __new__(cls, omega_t: float, omega_p: float, gamma: float) -> "Resonance":
+    def _check(self) -> None:
+        omega_t, omega_p, gamma = self
         if not omega_t > 0:
             raise ValueError(f"omega_t must be positive, got {omega_t}")
         if omega_p < 0:
             raise ValueError(f"omega_p must be non-negative, got {omega_p}")
         if gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {gamma}")
-        return tuple.__new__(cls, (omega_t, omega_p, gamma))
 
 
 class DrudeLorentzModel(_Checked, namedtuple("DrudeLorentzModel", "resonances")):
@@ -90,14 +102,12 @@ class ComplexIndex(_Checked, namedtuple("ComplexIndex", "eta kappa")):
 
     __slots__ = ()
 
-    def __new__(cls, eta: float, kappa: float) -> "ComplexIndex":
-        if not (math.isfinite(eta) and math.isfinite(kappa)):
-            raise ValueError(f"eta and kappa must be finite, got eta={eta}, kappa={kappa}")
+    def _check(self) -> None:
+        eta, kappa = self
         if not eta > 0:
             raise ValueError(f"eta must be positive, got {eta}")
         if kappa < 0:
             raise ValueError(f"kappa must be non-negative, got {kappa}")
-        return tuple.__new__(cls, (eta, kappa))
 
     @property
     def as_complex(self) -> complex:

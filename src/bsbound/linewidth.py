@@ -41,12 +41,12 @@ class DecayContext(_Checked, namedtuple("DecayContext", "n_vt eta")):
 
     __slots__ = ()
 
-    def __new__(cls, n_vt: float, eta: float) -> "DecayContext":
+    def _check(self) -> None:
+        n_vt, eta = self
         if not n_vt > 0:
             raise ValueError(f"n_vt must be positive, got {n_vt}")
         if not eta > 1:
             raise ValueError(f"eta must exceed 1, got {eta}")
-        return tuple.__new__(cls, (n_vt, eta))
 
 
 def free_space_decay_rate(omega: float, dipole_sq: float) -> float:

@@ -112,7 +112,10 @@ EPS_S_MAX = 1e3
 
 class MinimizeConfig(
     _Checked,
-    namedtuple("MinimizeConfig", "x_target gamma_tilde omega_tilde eps_s_max"),
+    namedtuple(
+        "MinimizeConfig", "x_target gamma_tilde omega_tilde eps_s_max",
+        defaults=(*WORKING_POINT, EPS_S_MAX),
+    ),
 ):
     """Target ratio, working point and eps_s search ceiling of one minimization."""
 
@@ -120,16 +123,8 @@ class MinimizeConfig(
     # relative ratio residual the inner solve must reach at every root
     constraint_rtol = 1e-10
 
-    def __new__(
-        cls,
-        x_target: float,
-        gamma_tilde: float = WORKING_POINT[0],
-        omega_tilde: float = WORKING_POINT[1],
-        eps_s_max: float = EPS_S_MAX,
-    ) -> "MinimizeConfig":
-        self = tuple.__new__(cls, (x_target, gamma_tilde, omega_tilde, eps_s_max))
-        if not all(map(math.isfinite, self)):
-            raise ValueError(f"values must be finite, got {self}")
+    def _check(self) -> None:
+        x_target, gamma_tilde, omega_tilde, eps_s_max = self
         if not x_target > 0:
             raise ValueError(f"x_target must be positive, got {x_target}")
         if not 0 < gamma_tilde:
@@ -150,7 +145,6 @@ class MinimizeConfig(
                 f"eps_s_max {eps_s_max} is too wide: "
                 f"(eps_s_max - 1)/(EPS_S_MIN - 1) overflows"
             )
-        return self
 
 
 class MinimizeDiagnostics(NamedTuple):
@@ -618,13 +612,16 @@ def _sweep_worker(config: MinimizeConfig) -> SweepRow:
 def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
     """One default minimization per ratio; rows are independent and deterministic.
 
-    Every ratio is checked by MinimizeConfig before any row is solved, so
-    a non-finite or non-positive ratio raises ValueError up front.
+    jobs and every ratio (by MinimizeConfig) are checked before any row is
+    solved, so jobs < 1 or a non-finite or non-positive ratio raises
+    ValueError up front.
     Per-row infeasibility is recorded in the row, never raised.  With
     jobs > 1 rows are computed in a pool of at most jobs processes, one
     per row and one per CPU (os.cpu_count()) at most; the output order
     and content are identical regardless of jobs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     configs = [MinimizeConfig(float(x)) for x in x_values]
     if not configs:
         raise ValueError("x_values must be non-empty")

@@ -52,12 +52,8 @@ class ScaledSlabParams(
 
     __slots__ = ()
 
-    def __new__(
-        cls, omega_tilde: float, gamma_tilde: float, d: float, eps_s: float
-    ) -> "ScaledSlabParams":
-        self = tuple.__new__(cls, (omega_tilde, gamma_tilde, d, eps_s))
-        if not all(map(math.isfinite, self)):
-            raise ValueError(f"values must be finite, got {self}")
+    def _check(self) -> None:
+        omega_tilde, gamma_tilde, d, eps_s = self
         if not omega_tilde > 0:
             raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
         if gamma_tilde < 0:
@@ -66,7 +62,6 @@ class ScaledSlabParams(
             raise ValueError(f"d must be non-negative, got {d}")
         if not eps_s > 1:
             raise ValueError(f"eps_s must exceed 1, got {eps_s}")
-        return self
 
 
 class SlabResponse(NamedTuple):

@@ -63,6 +63,26 @@ def susceptibility_highprec(resonances, omega, dps=50) -> complex:
         return complex(total)
 
 
+def slab_p_highprec(eps_s, gamma_t, omega_t, d, dps=50) -> float:
+    """Slab absorption 1 - |t|^2 - |r|^2 recomputed with mpmath.
+
+    The index is n^2 = 1 + (eps_s - 1)/(1 - omega^2 - i*gamma*omega) and the
+    amplitudes are the Airy sums of the multiply reflected waves at phase
+    delta = n*omega*d: t = 4n e^{i delta} / D and
+    r = (1 - n^2)(1 - e^{2i delta}) / D with
+    D = (1 + n)^2 - (1 - n)^2 e^{2i delta}, up to unimodular factors that
+    leave |t|^2 and |r|^2 unchanged.
+    """
+    with mp.workdps(dps):
+        eps_s, gamma_t, omega_t, d = (mp.mpf(v) for v in (eps_s, gamma_t, omega_t, d))
+        n = mp.sqrt(1 + (eps_s - 1) / (1 - omega_t**2 - 1j * gamma_t * omega_t))
+        round_trip = mp.exp(2j * n * omega_t * d)
+        den = (1 + n) ** 2 - (1 - n) ** 2 * round_trip
+        t = 4 * n * mp.exp(1j * n * omega_t * d) / den
+        r = (1 - n**2) * (1 - round_trip) / den
+        return float(1 - abs(t) ** 2 - abs(r) ** 2)
+
+
 def free_space_rate_highprec(omega, dipole_sq, dps=50) -> float:
     """omega^3 d^2 / (3 pi hbar eps0 c^3) constant by constant in mpmath."""
     with mp.workdps(dps):

@@ -336,6 +336,14 @@ class TestSweep:
         assert sweep(xs, jobs=5000) == sweep(xs)
         assert pool_sizes == sizes
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected_before_any_row(self, monkeypatch, jobs):
+        solved = []
+        monkeypatch.setattr(optimizer, "minimize_absorption", solved.append)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            sweep([0.5, 1.0], jobs=jobs)
+        assert solved == []
+
 
 class TestValleyMemo:
     """The per-process memo of slice valleys changes no result, only the work."""

@@ -2,6 +2,7 @@
 however they are built."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -69,3 +70,32 @@ def test_replace_and_make_run_the_constructor_checks(record, bad):
     # a valid _replace keeps the type and the other fields
     same = record._replace(**{record._fields[0]: record[0]})
     assert type(same) is type(record) and same == record
+
+
+# every input record with float fields, one non-finite value per field
+NON_FINITE = [
+    (record, field, value)
+    for record, _ in VALIDATING
+    if not isinstance(record, DrudeLorentzModel)
+    for field in record._fields
+    for value in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize(
+    "record, field, value", NON_FINITE,
+    ids=[f"{type(r).__name__}-{f}-{v}" for r, f, v in NON_FINITE],
+)
+def test_non_finite_field_rejected_however_built(record, field, value):
+    cls = type(record)
+    values = {**record._asdict(), field: value}
+    # tuple.__new__ skips the checks, so this pickle holds the bad field
+    pickled = pickle.dumps(tuple.__new__(cls, values.values()))
+    for build in (
+        lambda: cls(**values),
+        lambda: record._replace(**{field: value}),
+        lambda: cls._make(values.values()),
+        lambda: pickle.loads(pickled),
+    ):
+        with pytest.raises(ValueError, match=" must be finite, got "):
+            build()
