@@ -4,8 +4,13 @@ Run after any intentional format change, then review the diff.  With file
 names as arguments (`python scripts/make_goldens.py bound_headline.csv`)
 only those goldens are written.  Besides the CLI outputs, SOLVER_GOLDEN
 pins the repr of every solver result field (see solver_reprs).
+
+The same run first writes src/bsbound/_scan_valleys.py, the valleys of the
+default ladder's eps_s scan slices that the optimizer ships (see
+scan_valleys); name it as `_scan_valleys.py` to write it alone.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +18,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
+SCAN_VALLEYS = REPO / "src" / "bsbound" / "_scan_valleys.py"
 
 CASES = {
     "eval_point.csv": [
@@ -73,10 +79,63 @@ def solver_reprs() -> str:
     return "\n".join(lines) + "\n"
 
 
+def scan_valleys() -> str:
+    """Source of bsbound._scan_valleys, every row searched by _phase_search.
+
+    One tuple per level of DEFAULT_LEVELS, one row per slice of
+    _scan_grid(EPS_S_MAX); the rows never come from the shipped table.
+    """
+    from bsbound import optimizer as opt
+    from bsbound.slab import _airy_factors, working_index
+
+    grid = opt._scan_grid(opt.EPS_S_MAX)
+    lines = [
+        '"""Valleys of the eps_s scan slices of the default alpha ladder.',
+        "",
+        "Generated by scripts/make_goldens.py with optimizer._phase_search; do",
+        "not edit.  VALLEYS[level][k] is the (phi_valley, ln_x_valley,",
+        "evaluations, ln_x_lo, ln_x_hi) of the slice at (_scan_grid(EPS_S_MAX)[k],",
+        "*DEFAULT_LEVELS[level]).  The rows depend on slab.working_index,",
+        "slab._airy_factors, slab._kernel, the golden search and these",
+        "constants of bsbound.optimizer:",
+        "",
+        f"    DEFAULT_LEVELS = {opt.DEFAULT_LEVELS!r}",
+        f"    EPS_S_MIN = {opt.EPS_S_MIN!r}",
+        f"    EPS_S_MAX = {opt.EPS_S_MAX!r}",
+        f"    _SCAN_POINTS = {opt._SCAN_POINTS!r}",
+        f"    _PHI_LO = {opt._PHI_LO!r}",
+        f"    _PHI_HI = {opt._PHI_HI!r}",
+        f"    _GOLDEN_RTOL = {opt._GOLDEN_RTOL!r}",
+        f"    _INVPHI = {opt._INVPHI!r}",
+        "",
+        "The optimizer searches again the first slice of each level that it looks",
+        "up, and drops the table if any field differs.",
+        '"""',
+        "",
+        "VALLEYS = (",
+    ]
+    for gamma_tilde, omega_tilde in opt.DEFAULT_LEVELS:
+        lines.append("    (")
+        for eps_s in grid:
+            factors = _airy_factors(working_index(eps_s, gamma_tilde, omega_tilde))
+            row = opt._phase_search(factors, math.sqrt(eps_s))
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"non-finite valley {row} at eps_s={eps_s!r}")
+            lines.append(f"        ({', '.join(map(repr, row))}),")
+        lines.append("    ),")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
 def main(names: list[str]) -> None:
-    unknown = set(names) - set(CASES) - {SOLVER_GOLDEN}
+    unknown = set(names) - set(CASES) - {SOLVER_GOLDEN, SCAN_VALLEYS.name}
     if unknown:
         sys.exit(f"unknown golden(s): {', '.join(sorted(unknown))}")
+    sys.path.insert(0, str(REPO / "src"))
+    if not names or SCAN_VALLEYS.name in names:
+        # written first, so the goldens below are made with the new table
+        SCAN_VALLEYS.write_text(scan_valleys())
+        print(f"wrote {SCAN_VALLEYS}")
     env = os.environ.copy()
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     GOLDEN.mkdir(parents=True, exist_ok=True)
@@ -90,7 +149,6 @@ def main(names: list[str]) -> None:
         (GOLDEN / name).write_text(out.stdout)
         print(f"wrote {GOLDEN / name}")
     if not names or SOLVER_GOLDEN in names:
-        sys.path.insert(0, str(REPO / "src"))
         (GOLDEN / SOLVER_GOLDEN).write_text(solver_reprs())
         print(f"wrote {GOLDEN / SOLVER_GOLDEN}")
 

@@ -49,8 +49,16 @@ class DecayContext(_Checked, namedtuple("DecayContext", "n_vt eta")):
             raise ValueError(f"eta must exceed 1, got {eta}")
 
 
+def _require_finite(**values: float) -> None:
+    """ValueError naming every argument that is nan, inf or -inf."""
+    bad = [f"{name}={value!r}" for name, value in values.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"arguments must be finite, got {', '.join(bad)}")
+
+
 def free_space_decay_rate(omega: float, dipole_sq: float) -> float:
     """Free-space rate omega^3 d^2 / (3 pi hbar eps0 c^3) in s^-1."""
+    _require_finite(omega=omega, dipole_sq=dipole_sq)
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if dipole_sq < 0:
@@ -67,6 +75,7 @@ def dipole_sq_from_static_index(
     ensemble: d^2 = 3 hbar omega_t eps0 (eta^2 - 1) / (2 n).  eta = 1 is
     the vacuum limit with d^2 = 0.
     """
+    _require_finite(eta=eta, omega_t=omega_t, number_density=number_density)
     if eta < 1:
         raise ValueError(f"eta must be at least 1, got {eta}")
     if omega_t <= 0 or number_density <= 0:
@@ -80,6 +89,7 @@ def local_field_factor(eta: float) -> float:
     Multiplies the free-space decay rate to give the in-medium rate;
     equals 1 in vacuum and increases monotonically with eta.
     """
+    _require_finite(eta=eta)
     if eta < 1:
         raise ValueError(f"eta must be at least 1, got {eta}")
     return eta * (3.0 * eta**2 / (2.0 * eta**2 + 1.0)) ** 2
@@ -91,8 +101,9 @@ def scaled_linewidth_bound(ctx: DecayContext, omega_tilde: float) -> float:
     (4 pi^2 / n_vt) * omega_tilde^3 * eta (eta^2 - 1) (3 eta^2/(2 eta^2+1))^2.
     Algebraically identical to chaining the free-space rate, the dipole
     relation, and the local-field factor with consistent unscaled inputs.
-    Raises ValueError when the bound overflows.
+    Raises ValueError when the bound overflows or underflows to zero.
     """
+    _require_finite(omega_tilde=omega_tilde)
     if omega_tilde <= 0:
         raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
     eta = ctx.eta
@@ -110,6 +121,11 @@ def scaled_linewidth_bound(ctx: DecayContext, omega_tilde: float) -> float:
             f"line-width bound overflows at omega_tilde={omega_tilde!r}, "
             f"n_vt={ctx.n_vt!r}, eta={eta!r}"
         )
+    if bound == 0.0:
+        raise ValueError(
+            f"line-width bound underflows to zero at omega_tilde={omega_tilde!r}, "
+            f"n_vt={ctx.n_vt!r}, eta={eta!r}"
+        )
     return bound
 
 
@@ -121,14 +137,20 @@ def min_absorption_probability(
     Equals alpha * omega_tilde * scaled_linewidth_bound(ctx, omega_tilde),
     hence scales exactly as omega_tilde^4.  alpha and ctx.eta must come
     from the same minimization (eta = sqrt(eps_s_star)).  Raises ValueError
-    when the probability overflows.
+    when the probability overflows or underflows to zero.
     """
+    _require_finite(alpha=alpha, omega_tilde=omega_tilde)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     p_min = alpha * omega_tilde * scaled_linewidth_bound(ctx, omega_tilde)
     if not math.isfinite(p_min):
         raise ValueError(
             f"minimal absorption probability overflows at alpha={alpha!r}, "
+            f"omega_tilde={omega_tilde!r}"
+        )
+    if p_min == 0.0:
+        raise ValueError(
+            f"minimal absorption probability underflows to zero at alpha={alpha!r}, "
             f"omega_tilde={omega_tilde!r}"
         )
     return p_min

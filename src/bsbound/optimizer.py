@@ -21,11 +21,17 @@ The valley of a slice and ln x at both ends of the period depend on
 memoized: every ratio solved at a working point reuses the valleys and
 bracket ends that an earlier solve there found.  The memo is per process
 (each sweep pool worker fills its own) and bounded to _VALLEY_MEMO_SIZE
-slices, about 1.6 MB, the least recently used evicted first.  Within a
-solve each phase is evaluated once: a root's p and x come from the
-evaluation brentq made at that phase.  Results do not depend on either: a
-memo hit returns the floats a fresh search would, and
-MinimizeDiagnostics.slab_evaluations counts memoized and reused
+slices, about 1.6 MB, the least recently used evicted first.  The valleys
+of the 2 x 256 scan slices of DEFAULT_LEVELS ship precomputed in
+_scan_valleys (written by scripts/make_goldens.py), so a cold process
+searches only the other slices.  The table is imported on the first memo
+miss at a default level; the first slice looked up in each level is
+searched again and compared field by field, and any difference drops the
+table for the rest of the process.  Within a solve each phase is
+evaluated once: a root's p and x come from the evaluation brentq made at
+that phase.  Results depend on none of these: a memo hit or a table row
+gives the floats a fresh search would, and
+MinimizeDiagnostics.slab_evaluations counts memoized, shipped and reused
 evaluations as if they were made again.
 """
 
@@ -345,22 +351,74 @@ class _Valley(NamedTuple):
     ln_x_hi: float
 
 
-@functools.lru_cache(maxsize=_VALLEY_MEMO_SIZE)
-def _slice_valley(eps_s: float, gamma_tilde: float, omega_tilde: float) -> _Valley:
-    """Index, Airy factors, valley and end ratios of one slice, memoized per process."""
-    eta0 = math.sqrt(eps_s)
-    # looked up at call time, so a patched working_index sees every miss
-    index = working_index(eps_s, gamma_tilde, omega_tilde)
-    factors = _airy_factors(index)
+def _phase_search(
+    factors: tuple[complex, ...], eta0: float
+) -> tuple[float, float, int, float, float]:
+    """Golden-section valley of ln x(phi) over the first period of one slice.
+
+    Returns (phi_valley, ln_x_valley, evaluations, ln_x_lo, ln_x_hi), the
+    ratio-independent fields of _Valley, from the slice's Airy factors and
+    eta0 = sqrt(eps_s).
+    """
 
     def ln_ratio(phi: float) -> float:
         return math.log(_kernel(factors, phi / eta0)[3])
 
     phi_valley, ln_x_valley, iters = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
-    return _Valley(
-        eta0, index.eta, factors, phi_valley, ln_x_valley, iters + 2,
-        ln_ratio(_PHI_LO), ln_ratio(_PHI_HI),
-    )
+    return phi_valley, ln_x_valley, iters + 2, ln_ratio(_PHI_LO), ln_ratio(_PHI_HI)
+
+
+# (eps_s, gamma_tilde, omega_tilde) -> _phase_search result of every scan
+# slice of the default ladder, read from _scan_valleys when a default level
+# first misses the memo; emptied if a level fails its self-check
+_scan_table: Optional[dict[tuple[float, float, float], tuple]] = None
+# default levels whose first table slice has not been searched again yet
+_unchecked_levels: set[tuple[float, float]] = set()
+
+
+def _load_scan_table() -> dict[tuple[float, float, float], tuple]:
+    """The shipped scan valleys, keyed by slice as this process computes it."""
+    from ._scan_valleys import VALLEYS
+
+    grid = _scan_grid(EPS_S_MAX)
+    return {
+        (eps_s, gamma_tilde, omega_tilde): row
+        for (gamma_tilde, omega_tilde), rows in zip(DEFAULT_LEVELS, VALLEYS)
+        for eps_s, row in zip(grid, rows)
+    }
+
+
+@functools.lru_cache(maxsize=_VALLEY_MEMO_SIZE)
+def _slice_valley(eps_s: float, gamma_tilde: float, omega_tilde: float) -> _Valley:
+    """Index, Airy factors, valley and end ratios of one slice, memoized per process.
+
+    A scan slice of the default ladder takes its valley from the shipped
+    table, any other slice from _phase_search.  The first table slice of
+    each level is searched as well and compared field by field; any
+    difference (another libm, a changed constant) empties the table, so
+    the floats are those of _phase_search either way.
+    """
+    global _scan_table
+    eta0 = math.sqrt(eps_s)
+    # looked up at call time, so a patched working_index sees every miss
+    index = working_index(eps_s, gamma_tilde, omega_tilde)
+    factors = _airy_factors(index)
+    level = (gamma_tilde, omega_tilde)
+    phases = None
+    if level in DEFAULT_LEVELS:
+        if _scan_table is None:
+            # marked unchecked first, so no thread uses a row unchecked
+            _unchecked_levels.update(DEFAULT_LEVELS)
+            _scan_table = _load_scan_table()
+        phases = _scan_table.get((eps_s, gamma_tilde, omega_tilde))
+    if phases is None or level in _unchecked_levels:
+        searched = _phase_search(factors, eta0)
+        if phases is not None:
+            _unchecked_levels.discard(level)
+            if phases != searched:
+                _scan_table.clear()
+        phases = searched
+    return _Valley(eta0, index.eta, factors, *phases)
 
 
 def _solve_slice(

@@ -304,6 +304,17 @@ class TestBound:
         assert "Traceback" not in res.stderr
 
 
+    @pytest.mark.parametrize("omega", ["1e-80", "1e-300"])
+    def test_underflowing_omega_exit_2(self, run_cli, omega):
+        # 1e-80 rounds p_min to 0.0, 1e-300 already the line-width bound;
+        # p_min = 0 would break p > 0
+        res = run_cli("bound", "--x", "1", "--omega", omega)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "underflows to zero" in lines[0]
+
 class TestSolveFailure:
     """A phase root that misses the 1e-10 ratio tolerance is an error line, exit 2.
 
@@ -525,6 +536,25 @@ class TestImports:
             env=cli_env, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_scan_valleys_load_only_for_a_solve(self, cli_env):
+        # the shipped valley table is imported on the first default-level
+        # slice the optimizer searches, not by the import, --constants or eval
+        code = (
+            "import contextlib, io, sys, bsbound.cli as cli\n"
+            "def loaded(*args):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(list(args)) == 0\n"
+            "    return 'bsbound._scan_valleys' in sys.modules\n"
+            "print(loaded('--constants'),\n"
+            f"      loaded(*{make_goldens.CASES['eval_point.csv']!r}),\n"
+            f"      loaded(*{make_goldens.CASES['bound_headline.csv']!r}))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=cli_env, check=True,
+        )
+        assert out.stdout.split() == ["False", "False", "True"]
 
     def test_sweep_and_sum_rule_run_without_numpy(self, cli_env):
         # None in sys.modules makes every `import numpy` raise ImportError

@@ -146,3 +146,45 @@ class TestMinAbsorption:
             min_absorption_probability(0.0, self.CTX, 0.1)
         with pytest.raises(ValueError):
             scaled_linewidth_bound(self.CTX, 0.0)
+
+
+CTX = DecayContext(n_vt=1e9, eta=math.sqrt(6.2))
+# (function, good arguments, index of each float argument and its name)
+LINEWIDTH_CALLS = [
+    (free_space_decay_rate, (2.5e15, 1e-59), ("omega", "dipole_sq")),
+    (dipole_sq_from_static_index, (2.0, 2.5e15, 1e25), ("eta", "omega_t", "number_density")),
+    (local_field_factor, (2.0,), ("eta",)),
+    (scaled_linewidth_bound, (CTX, 0.1), (None, "omega_tilde")),
+    (min_absorption_probability, (0.9, CTX, 0.1), ("alpha", None, "omega_tilde")),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("func, args, names", LINEWIDTH_CALLS,
+                         ids=[call[0].__name__ for call in LINEWIDTH_CALLS])
+def test_non_finite_argument_named(func, args, names, value):
+    for i, name in enumerate(names):
+        if name is None:
+            continue  # a DecayContext, which checks its own fields
+        bad = list(args)
+        bad[i] = value
+        with pytest.raises(ValueError, match=rf"must be finite, got {name}={value!r}$"):
+            func(*bad)
+
+
+class TestUnderflow:
+    def test_bound_underflow_rejected(self):
+        # omega_tilde^3 is 0.0 in floating point
+        with pytest.raises(ValueError, match="^line-width bound underflows to zero"):
+            scaled_linewidth_bound(CTX, 1e-300)
+
+    def test_probability_underflow_rejected(self):
+        # the bound is ~1e-247, and alpha * omega_tilde * bound rounds to 0.0
+        assert scaled_linewidth_bound(CTX, 1e-80) > 0.0
+        with pytest.raises(
+            ValueError, match="^minimal absorption probability underflows to zero"
+        ):
+            min_absorption_probability(0.9, CTX, 1e-80)
+
+    def test_subnormal_probability_kept(self):
+        assert 0.0 < min_absorption_probability(0.9, CTX, 1e-79) < 2.3e-308

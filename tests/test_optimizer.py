@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from bsbound import optimizer
+from bsbound import _scan_valleys, optimizer
 from bsbound.optimizer import (
     MinimizeConfig,
     extract_alpha,
@@ -18,6 +18,30 @@ from bsbound.slab import ScaledSlabParams, _airy_factors, _kernel, evaluate, wor
 from conftest import GOLDEN, make_goldens
 
 INF, NAN = math.inf, math.nan
+
+
+def count_kernel_calls(monkeypatch):
+    """Patch the optimizer's _kernel; returns a function giving the calls since."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _kernel(*args)
+
+    monkeypatch.setattr(optimizer, "_kernel", counted)
+    return lambda: calls
+
+
+@pytest.fixture
+def cold_process(monkeypatch):
+    """An empty valley memo and a shipped table not yet loaded, as at start-up."""
+    monkeypatch.setattr(optimizer, "_scan_table", None)
+    monkeypatch.setattr(optimizer, "_unchecked_levels", set())
+    optimizer._slice_valley.cache_clear()
+    yield
+    # the memo may hold valleys found while the table state was patched
+    optimizer._slice_valley.cache_clear()
 
 
 def ratio_at(eps_s, d, gamma_tilde=1e-3, omega_tilde=1e-3):
@@ -203,17 +227,21 @@ class TestMinimize:
         # brentq's evaluation, so fewer calls than slab_evaluations counts
         optimizer._slice_valley.cache_clear()
         minimize_absorption(MinimizeConfig(x_target=1.0))
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return _kernel(*args)
-
-        monkeypatch.setattr(optimizer, "_kernel", counted)
+        calls = count_kernel_calls(monkeypatch)
         res = minimize_absorption(MinimizeConfig(x_target=2.0))
-        assert calls == 5210
+        assert calls() == 4937
         assert res.diagnostics.slab_evaluations == 7953
+
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: minimize_absorption(MinimizeConfig(x_target=1.0)), 4707),
+        (lambda: extract_alpha(1.0), 9479),
+    ], ids=["minimize", "extract_alpha"])
+    def test_cold_kernel_call_count(self, cold_process, monkeypatch, call, expected):
+        # as in a fresh process: the scan slices come from the shipped table,
+        # and each level's first one is searched again to check it
+        calls = count_kernel_calls(monkeypatch)
+        call()
+        assert calls() == expected
 
     def test_fixed_constraint_tolerance(self):
         cfg = MinimizeConfig(x_target=1.0)
@@ -453,6 +481,69 @@ class TestInnerSolveReuse:
         # at the valley's own ratio both roots sit on the bracket end, where
         # brentq calls no h, so their p and x come from a fresh kernel call
         assert phases == [valley.phi_valley, valley.phi_valley]
+
+
+SCAN_GRID = optimizer._scan_grid(optimizer.EPS_S_MAX)
+
+
+def search_slice(eps_s, gamma_tilde, omega_tilde):
+    """_phase_search of one slice, without the memo or the shipped table."""
+    factors = _airy_factors(working_index(eps_s, gamma_tilde, omega_tilde))
+    return optimizer._phase_search(factors, math.sqrt(eps_s))
+
+
+class TestScanValleyTable:
+    """The shipped valleys of the default ladder's scan slices."""
+
+    def test_every_row_is_the_phase_search(self):
+        assert len(_scan_valleys.VALLEYS) == len(optimizer.DEFAULT_LEVELS)
+        for level, rows in zip(optimizer.DEFAULT_LEVELS, _scan_valleys.VALLEYS):
+            assert len(rows) == len(SCAN_GRID)
+            for eps_s, row in zip(SCAN_GRID, rows):
+                searched = search_slice(eps_s, *level)
+                assert len(row) == len(searched)
+                for shipped, fresh in zip(row, searched):
+                    assert type(shipped) is type(fresh)
+                    assert shipped == fresh
+
+    def test_valley_from_the_table_matches_a_search(self, cold_process, monkeypatch):
+        level = optimizer.DEFAULT_LEVELS[1]
+        calls = count_kernel_calls(monkeypatch)
+        valleys = [optimizer._slice_valley(eps_s, *level) for eps_s in SCAN_GRID[::51]]
+        # only the level's first slice was searched, to check the table
+        assert calls() == valleys[0].evaluations + 2
+        assert optimizer._unchecked_levels == {optimizer.DEFAULT_LEVELS[0]}
+        for eps_s, valley in zip(SCAN_GRID[::51], valleys):
+            assert valley[3:] == search_slice(eps_s, *level)
+        assert len(optimizer._scan_table) == 2 * len(SCAN_GRID)
+
+    def test_only_a_default_level_loads_the_table(self, cold_process):
+        optimizer._slice_valley(SCAN_GRID[200], 2e-3, 2e-3)
+        assert optimizer._scan_table is None
+        # an off-grid slice at a default level is searched and checks no level
+        optimizer._slice_valley(6.2, *optimizer.WORKING_POINT)
+        assert len(optimizer._scan_table) == 2 * len(SCAN_GRID)
+        assert optimizer._unchecked_levels == set(optimizer.DEFAULT_LEVELS)
+
+    def test_altered_row_drops_the_table(self, cold_process, monkeypatch):
+        expected = repr(extract_alpha(1.0))
+        optimizer._slice_valley.cache_clear()
+        monkeypatch.setattr(optimizer, "_scan_table", None)
+        # one ulp off in one field of the slice looked up first
+        k = 150
+        rows = list(_scan_valleys.VALLEYS[0])
+        phi, *rest = rows[k]
+        rows[k] = (math.nextafter(phi, 0.0), *rest)
+        monkeypatch.setattr(
+            _scan_valleys, "VALLEYS", (tuple(rows), *_scan_valleys.VALLEYS[1:])
+        )
+        level = optimizer.DEFAULT_LEVELS[0]
+        assert optimizer._slice_valley(SCAN_GRID[k], *level)[3:] == search_slice(
+            SCAN_GRID[k], *level
+        )
+        assert optimizer._scan_table == {}
+        assert repr(extract_alpha(1.0)) == expected
+        assert optimizer._scan_table == {}
 
 
 @pytest.mark.parametrize("call", [
