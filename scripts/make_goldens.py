@@ -108,8 +108,9 @@ def scan_valleys() -> str:
         f"    _GOLDEN_RTOL = {opt._GOLDEN_RTOL!r}",
         f"    _INVPHI = {opt._INVPHI!r}",
         "",
-        "The optimizer searches again the first slice of each level that it looks",
-        "up, and drops the table if any field differs.",
+        "The optimizer loads the table on its first lookup at a default level.",
+        "It then searches the last row of each level (eps_s at the top of the scan",
+        "grid) again, and leaves the table empty if any field differs.",
         '"""',
         "",
         "VALLEYS = (",

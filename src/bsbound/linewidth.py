@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from typing import Callable
 
 from .dielectric import _Checked
 
@@ -56,6 +57,26 @@ def _require_finite(**values: float) -> None:
         raise ValueError(f"arguments must be finite, got {', '.join(bad)}")
 
 
+def _in_range(
+    what: str, compute: Callable[[], float], nonzero: bool = False, **inputs: float
+) -> float:
+    """compute(), or ValueError naming `what` and inputs when it leaves float range.
+
+    An infinite result, or a float ** that raises OverflowError where * would
+    give inf, "overflows"; with nonzero, a result of 0.0 "underflows to zero".
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    at = ", ".join(f"{name}={v!r}" for name, v in inputs.items())
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows at {at}")
+    if nonzero and value == 0.0:
+        raise ValueError(f"{what} underflows to zero at {at}")
+    return value
+
+
 def free_space_decay_rate(omega: float, dipole_sq: float) -> float:
     """Free-space rate omega^3 d^2 / (3 pi hbar eps0 c^3) in s^-1."""
     _require_finite(omega=omega, dipole_sq=dipole_sq)
@@ -63,7 +84,11 @@ def free_space_decay_rate(omega: float, dipole_sq: float) -> float:
         raise ValueError(f"omega must be positive, got {omega}")
     if dipole_sq < 0:
         raise ValueError(f"dipole_sq must be non-negative, got {dipole_sq}")
-    return omega**3 * dipole_sq / (3.0 * math.pi * HBAR * EPSILON_0 * SPEED_OF_LIGHT**3)
+    return _in_range(
+        "free-space decay rate",
+        lambda: omega**3 * dipole_sq / (3.0 * math.pi * HBAR * EPSILON_0 * SPEED_OF_LIGHT**3),
+        omega=omega, dipole_sq=dipole_sq,
+    )
 
 
 def dipole_sq_from_static_index(
@@ -80,7 +105,11 @@ def dipole_sq_from_static_index(
         raise ValueError(f"eta must be at least 1, got {eta}")
     if omega_t <= 0 or number_density <= 0:
         raise ValueError("omega_t and number_density must be positive")
-    return 3.0 * HBAR * omega_t * EPSILON_0 * (eta**2 - 1.0) / (2.0 * number_density)
+    return _in_range(
+        "squared dipole",
+        lambda: 3.0 * HBAR * omega_t * EPSILON_0 * (eta**2 - 1.0) / (2.0 * number_density),
+        eta=eta, omega_t=omega_t, number_density=number_density,
+    )
 
 
 def local_field_factor(eta: float) -> float:
@@ -92,7 +121,9 @@ def local_field_factor(eta: float) -> float:
     _require_finite(eta=eta)
     if eta < 1:
         raise ValueError(f"eta must be at least 1, got {eta}")
-    return eta * (3.0 * eta**2 / (2.0 * eta**2 + 1.0)) ** 2
+    return _in_range(
+        "local-field factor", lambda: eta * (3.0 * eta**2 / (2.0 * eta**2 + 1.0)) ** 2, eta=eta
+    )
 
 
 def scaled_linewidth_bound(ctx: DecayContext, omega_tilde: float) -> float:
@@ -107,26 +138,16 @@ def scaled_linewidth_bound(ctx: DecayContext, omega_tilde: float) -> float:
     if omega_tilde <= 0:
         raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
     eta = ctx.eta
-    try:
-        bound = (
+    return _in_range(
+        "line-width bound",
+        lambda: (
             4.0 * math.pi**2 / ctx.n_vt
             * omega_tilde**3
             * eta * (eta**2 - 1.0)
             * (3.0 * eta**2 / (2.0 * eta**2 + 1.0)) ** 2
-        )
-    except OverflowError:  # a float ** raises where * would give inf
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise ValueError(
-            f"line-width bound overflows at omega_tilde={omega_tilde!r}, "
-            f"n_vt={ctx.n_vt!r}, eta={eta!r}"
-        )
-    if bound == 0.0:
-        raise ValueError(
-            f"line-width bound underflows to zero at omega_tilde={omega_tilde!r}, "
-            f"n_vt={ctx.n_vt!r}, eta={eta!r}"
-        )
-    return bound
+        ),
+        nonzero=True, omega_tilde=omega_tilde, n_vt=ctx.n_vt, eta=eta,
+    )
 
 
 def min_absorption_probability(
@@ -137,20 +158,23 @@ def min_absorption_probability(
     Equals alpha * omega_tilde * scaled_linewidth_bound(ctx, omega_tilde),
     hence scales exactly as omega_tilde^4.  alpha and ctx.eta must come
     from the same minimization (eta = sqrt(eps_s_star)).  Raises ValueError
-    when the probability overflows or underflows to zero.
+    when the probability overflows, underflows to zero or reaches 1, where
+    the first-order chain is out of its regime.
     """
     _require_finite(alpha=alpha, omega_tilde=omega_tilde)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    p_min = alpha * omega_tilde * scaled_linewidth_bound(ctx, omega_tilde)
-    if not math.isfinite(p_min):
+    bound = scaled_linewidth_bound(ctx, omega_tilde)
+    p_min = _in_range(
+        "minimal absorption probability",
+        lambda: alpha * omega_tilde * bound,
+        nonzero=True, alpha=alpha, omega_tilde=omega_tilde,
+    )
+    if p_min >= 1.0:
         raise ValueError(
-            f"minimal absorption probability overflows at alpha={alpha!r}, "
-            f"omega_tilde={omega_tilde!r}"
-        )
-    if p_min == 0.0:
-        raise ValueError(
-            f"minimal absorption probability underflows to zero at alpha={alpha!r}, "
-            f"omega_tilde={omega_tilde!r}"
+            f"minimal absorption probability {p_min!r} is not below 1 at "
+            f"alpha={alpha!r}, omega_tilde={omega_tilde!r}, n_vt={ctx.n_vt!r}: "
+            f"the first-order chain holds only for p_min << 1, so lower "
+            f"omega_tilde or raise n_vt"
         )
     return p_min

@@ -17,21 +17,19 @@ in both, a root that misses MinimizeConfig.constraint_rtol raises
 RuntimeError.
 
 The valley of a slice and ln x at both ends of the period depend on
-(eps_s, gamma_tilde, omega_tilde) but not on the target ratio, so they are
-memoized: every ratio solved at a working point reuses the valleys and
-bracket ends that an earlier solve there found.  The memo is per process
-(each sweep pool worker fills its own) and bounded to _VALLEY_MEMO_SIZE
-slices, about 1.6 MB, the least recently used evicted first.  The valleys
-of the 2 x 256 scan slices of DEFAULT_LEVELS ship precomputed in
-_scan_valleys (written by scripts/make_goldens.py), so a cold process
-searches only the other slices.  The table is imported on the first memo
-miss at a default level; the first slice looked up in each level is
-searched again and compared field by field, and any difference drops the
-table for the rest of the process.  Within a solve each phase is
-evaluated once: a root's p and x come from the evaluation brentq made at
-that phase.  Results depend on none of these: a memo hit or a table row
-gives the floats a fresh search would, and
-MinimizeDiagnostics.slab_evaluations counts memoized, shipped and reused
+(eps_s, gamma_tilde, omega_tilde) but not on the target ratio.  Those of
+the 2 x 256 scan slices of DEFAULT_LEVELS ship precomputed in
+_scan_valleys (written by scripts/make_goldens.py) and load on the first
+lookup at a default level; the last slice of each level is then searched
+again and compared field by field, and any difference leaves the table
+empty.  A table slice keeps the valley built from its row, so every ratio
+solved at the default working point reuses it; every other slice is
+searched on each call.  The store is per process (each sweep pool worker
+loads its own) and holds at most those 512 valleys.  Within a solve each
+phase is evaluated once: a root's p and x come from the evaluation brentq
+made at that phase.  Results depend on none of these: a stored valley or
+a table row gives the floats a fresh search would, and
+MinimizeDiagnostics.slab_evaluations counts shipped and reused
 evaluations as if they were made again.
 """
 
@@ -83,9 +81,6 @@ _MAXITER = 100
 _GOLDEN_RTOL = 1e-7
 # eps_s slices of the outer scan
 _SCAN_POINTS = 256
-# slices whose valley the memo keeps: the scan grids of both default ladder
-# levels with room for the refinement slices and other working points
-_VALLEY_MEMO_SIZE = 8 * _SCAN_POINTS
 # a later branch must undercut the earlier one's p by this fraction to win
 _OBJECTIVE_RTOL = 1e-8
 # inter-level alpha drift above which the separable scaling is not trusted
@@ -157,7 +152,7 @@ class MinimizeDiagnostics(NamedTuple):
     """Work and margins of one minimization.
 
     slab_evaluations counts every slab evaluation the result is built
-    from, those of valley searches answered by the memo included, so it
+    from, those of valleys taken from the shipped table included, so it
     does not depend on what the process solved before.
     """
 
@@ -368,57 +363,56 @@ def _phase_search(
     return phi_valley, ln_x_valley, iters + 2, ln_ratio(_PHI_LO), ln_ratio(_PHI_HI)
 
 
-# (eps_s, gamma_tilde, omega_tilde) -> _phase_search result of every scan
-# slice of the default ladder, read from _scan_valleys when a default level
-# first misses the memo; emptied if a level fails its self-check
-_scan_table: Optional[dict[tuple[float, float, float], tuple]] = None
-# default levels whose first table slice has not been searched again yet
-_unchecked_levels: set[tuple[float, float]] = set()
+def _new_valley(
+    eps_s: float, gamma_tilde: float, omega_tilde: float, phases: Optional[tuple] = None
+) -> _Valley:
+    """_Valley of one slice, from a _phase_search row or, without one, a search."""
+    eta0 = math.sqrt(eps_s)
+    # looked up at call time, so a patched working_index sees every call
+    index = working_index(eps_s, gamma_tilde, omega_tilde)
+    factors = _airy_factors(index)
+    if phases is None:
+        phases = _phase_search(factors, eta0)
+    return _Valley(eta0, index.eta, factors, *phases)
 
 
-def _load_scan_table() -> dict[tuple[float, float, float], tuple]:
-    """The shipped scan valleys, keyed by slice as this process computes it."""
+@functools.cache
+def _scan_table() -> dict[tuple[float, float, float], tuple]:
+    """The shipped scan valleys, keyed by slice as this process computes it.
+
+    Maps every scan slice of DEFAULT_LEVELS to its _phase_search row, which
+    _slice_valley replaces by the slice's _Valley on first use.  The last
+    slice of each level is searched here and compared field by field; any
+    difference (another libm, a changed constant) leaves the table empty,
+    so every valley is the one a search gives.
+    """
     from ._scan_valleys import VALLEYS
 
     grid = _scan_grid(EPS_S_MAX)
-    return {
-        (eps_s, gamma_tilde, omega_tilde): row
-        for (gamma_tilde, omega_tilde), rows in zip(DEFAULT_LEVELS, VALLEYS)
-        for eps_s, row in zip(grid, rows)
-    }
+    table = {}
+    for level, rows in zip(DEFAULT_LEVELS, VALLEYS):
+        table.update(((eps_s, *level), row) for eps_s, row in zip(grid, rows))
+        checked = _new_valley(grid[-1], *level)
+        if checked[3:] != rows[-1]:
+            return {}
+        table[(grid[-1], *level)] = checked
+    return table
 
 
-@functools.lru_cache(maxsize=_VALLEY_MEMO_SIZE)
 def _slice_valley(eps_s: float, gamma_tilde: float, omega_tilde: float) -> _Valley:
-    """Index, Airy factors, valley and end ratios of one slice, memoized per process.
+    """Index, Airy factors, valley and end ratios of one slice.
 
-    A scan slice of the default ladder takes its valley from the shipped
-    table, any other slice from _phase_search.  The first table slice of
-    each level is searched as well and compared field by field; any
-    difference (another libm, a changed constant) empties the table, so
-    the floats are those of _phase_search either way.
+    A scan slice of the default ladder is built once from its _scan_table
+    row and kept there; any other slice is searched on every call.
     """
-    global _scan_table
-    eta0 = math.sqrt(eps_s)
-    # looked up at call time, so a patched working_index sees every miss
-    index = working_index(eps_s, gamma_tilde, omega_tilde)
-    factors = _airy_factors(index)
-    level = (gamma_tilde, omega_tilde)
-    phases = None
-    if level in DEFAULT_LEVELS:
-        if _scan_table is None:
-            # marked unchecked first, so no thread uses a row unchecked
-            _unchecked_levels.update(DEFAULT_LEVELS)
-            _scan_table = _load_scan_table()
-        phases = _scan_table.get((eps_s, gamma_tilde, omega_tilde))
-    if phases is None or level in _unchecked_levels:
-        searched = _phase_search(factors, eta0)
-        if phases is not None:
-            _unchecked_levels.discard(level)
-            if phases != searched:
-                _scan_table.clear()
-        phases = searched
-    return _Valley(eta0, index.eta, factors, *phases)
+    key = (eps_s, gamma_tilde, omega_tilde)
+    table = _scan_table() if key[1:] in DEFAULT_LEVELS else {}
+    row = table.get(key)
+    if row is None:
+        return _new_valley(*key)
+    if not isinstance(row, _Valley):
+        row = table[key] = _new_valley(*key, row)
+    return row
 
 
 def _solve_slice(
@@ -432,7 +426,7 @@ def _solve_slice(
 
     Returns the roots of `branches`, in that order, and the number of slab
     evaluations they are built from: the valley search's, the bracket
-    end's and the root's, memoized or reused ones included.  The list is
+    end's and the root's, shipped or reused ones included.  The list is
     empty when the slice cannot reach the target ratio (the valley of
     x(phi) stays above x_target), and leaves out a branch whose reachable
     range stays below it.  A root whose ratio misses x_target by more
@@ -456,7 +450,7 @@ def _solve_slice(
         return math.log(k[3]) - ln_xt
 
     # each phase is evaluated once: the valley and both period ends come
-    # from the memo, and the root from brentq's own evaluation
+    # with the slice's _Valley, and the root from brentq's own evaluation
     h_valley = ln_x_valley - ln_xt
     roots = []
     for branch in branches:
@@ -464,7 +458,7 @@ def _solve_slice(
             a, ha, b, hb = _PHI_LO, ln_x_lo - ln_xt, phi_valley, h_valley
         else:
             a, ha, b, hb = phi_valley, h_valley, _PHI_HI, ln_x_hi - ln_xt
-        evals += 1  # the end value, memoized with the valley
+        evals += 1  # the end value, found with the valley
         if ha * hb > 0.0:
             continue  # target above this branch's reachable range
         phi = brentq(h, a, b, ha, hb)

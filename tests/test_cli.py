@@ -315,6 +315,18 @@ class TestBound:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and "underflows to zero" in lines[0]
 
+    @pytest.mark.parametrize("nvt", ["1e-3", "1e-300"])
+    def test_probability_not_below_one_exit_2(self, run_cli, nvt):
+        # p_min would print as 89.74 and 8.97e298: no probability
+        res = run_cli("bound", "--x", "1", "--omega", "0.1", "--nvt", nvt)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: minimal absorption probability ")
+        assert "is not below 1" in lines[0]
+
+
 class TestSolveFailure:
     """A phase root that misses the 1e-10 ratio tolerance is an error line, exit 2.
 

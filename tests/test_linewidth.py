@@ -137,6 +137,20 @@ class TestMinAbsorption:
         with pytest.raises(ValueError, match="overflows"):
             scaled_linewidth_bound(DecayContext(n_vt=1e-300, eta=2.0), 1e3)
 
+    @pytest.mark.parametrize("n_vt", [1e-3, 1e-300])
+    def test_probability_not_below_one_rejected(self, n_vt):
+        # p_min = 89.96 and 8.996e298: no probability, the chain is out of regime
+        ctx = DecayContext(n_vt=n_vt, eta=2.5)
+        with pytest.raises(ValueError, match=r"^minimal absorption probability \S+ is not below 1"):
+            min_absorption_probability(0.9, ctx, 0.1)
+
+    def test_probability_up_to_one_kept(self):
+        # p_min scales as 1/n_vt: 0.8996 at n_vt = 0.1, 1.0006 at n_vt = 0.0899
+        ctx = DecayContext(n_vt=0.1, eta=2.5)
+        assert 0.89 < min_absorption_probability(0.9, ctx, 0.1) < 1.0
+        with pytest.raises(ValueError, match="is not below 1"):
+            min_absorption_probability(0.9, DecayContext(n_vt=0.0899, eta=2.5), 0.1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DecayContext(n_vt=0.0, eta=2.0)
@@ -170,6 +184,19 @@ def test_non_finite_argument_named(func, args, names, value):
         bad[i] = value
         with pytest.raises(ValueError, match=rf"must be finite, got {name}={value!r}$"):
             func(*bad)
+
+
+@pytest.mark.parametrize("func, args", [
+    (free_space_decay_rate, (1e200, 1.0)),  # omega**3 raises OverflowError
+    (local_field_factor, (1e200,)),  # eta**2 raises OverflowError
+    (dipole_sq_from_static_index, (1e200, 1.0, 1.0)),
+    (free_space_decay_rate, (1e100, 1e300)),  # the product is inf
+    (dipole_sq_from_static_index, (2.0, 1e300, 1e-300)),
+], ids=["rate-pow", "local-field-pow", "dipole-pow", "rate-product", "dipole-product"])
+def test_unscaled_overflow_rejected(func, args):
+    # the ValueError of the scaled pair, never OverflowError or inf
+    with pytest.raises(ValueError, match=r"^[a-z -]+ overflows at "):
+        func(*args)
 
 
 class TestUnderflow:

@@ -20,28 +20,27 @@ from conftest import GOLDEN, make_goldens
 INF, NAN = math.inf, math.nan
 
 
-def count_kernel_calls(monkeypatch):
-    """Patch the optimizer's _kernel; returns a function giving the calls since."""
+def count_calls(monkeypatch, name):
+    """Patch the optimizer's `name`; returns a function giving the calls since."""
+    real = getattr(optimizer, name)
     calls = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return _kernel(*args)
+        return real(*args)
 
-    monkeypatch.setattr(optimizer, "_kernel", counted)
+    monkeypatch.setattr(optimizer, name, counted)
     return lambda: calls
 
 
 @pytest.fixture
-def cold_process(monkeypatch):
-    """An empty valley memo and a shipped table not yet loaded, as at start-up."""
-    monkeypatch.setattr(optimizer, "_scan_table", None)
-    monkeypatch.setattr(optimizer, "_unchecked_levels", set())
-    optimizer._slice_valley.cache_clear()
+def cold_process():
+    """The shipped table not yet loaded, as at start-up."""
+    optimizer._scan_table.cache_clear()
     yield
-    # the memo may hold valleys found while the table state was patched
-    optimizer._slice_valley.cache_clear()
+    # the table may have been loaded from patched rows
+    optimizer._scan_table.cache_clear()
 
 
 def ratio_at(eps_s, d, gamma_tilde=1e-3, omega_tilde=1e-3):
@@ -214,32 +213,30 @@ class TestMinimize:
         )):
             minimize_absorption(MinimizeConfig(1.0, 1e-9, 1e-9))
 
-    def test_slab_evaluation_count(self):
+    def test_slab_evaluation_count(self, cold_process):
         # deterministic work counter: a change of it is a change of the solve;
-        # cleared first, so the cold memo is what the count is checked on
-        optimizer._slice_valley.cache_clear()
+        # checked from a cold process, though stored valleys count the same
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
         assert res.diagnostics.slab_evaluations == 7389
 
-    def test_kernel_call_count(self, monkeypatch):
-        # the kernel calls actually made: valleys and period ends found by
-        # the x = 1 solve come from the memo, and each root's p and x from
+    def test_kernel_call_count(self, cold_process, monkeypatch):
+        # the kernel calls actually made: scan valleys and period ends come
+        # from the table the x = 1 solve loaded, and each root's p and x from
         # brentq's evaluation, so fewer calls than slab_evaluations counts
-        optimizer._slice_valley.cache_clear()
         minimize_absorption(MinimizeConfig(x_target=1.0))
-        calls = count_kernel_calls(monkeypatch)
+        calls = count_calls(monkeypatch, "_kernel")
         res = minimize_absorption(MinimizeConfig(x_target=2.0))
         assert calls() == 4937
         assert res.diagnostics.slab_evaluations == 7953
 
     @pytest.mark.parametrize("call, expected", [
-        (lambda: minimize_absorption(MinimizeConfig(x_target=1.0)), 4707),
+        (lambda: minimize_absorption(MinimizeConfig(x_target=1.0)), 4746),
         (lambda: extract_alpha(1.0), 9479),
     ], ids=["minimize", "extract_alpha"])
     def test_cold_kernel_call_count(self, cold_process, monkeypatch, call, expected):
         # as in a fresh process: the scan slices come from the shipped table,
-        # and each level's first one is searched again to check it
-        calls = count_kernel_calls(monkeypatch)
+        # which searches one slice of each default level again as it loads
+        calls = count_calls(monkeypatch, "_kernel")
         call()
         assert calls() == expected
 
@@ -373,8 +370,17 @@ class TestSweep:
         assert solved == []
 
 
-class TestValleyMemo:
-    """The per-process memo of slice valleys changes no result, only the work."""
+SCAN_GRID = optimizer._scan_grid(optimizer.EPS_S_MAX)
+
+
+def search_slice(eps_s, gamma_tilde, omega_tilde):
+    """_phase_search of one slice, without the shipped table."""
+    factors = _airy_factors(working_index(eps_s, gamma_tilde, omega_tilde))
+    return optimizer._phase_search(factors, math.sqrt(eps_s))
+
+
+class TestValleyStore:
+    """The shipped table keeps the valleys of its slices; it changes no result."""
 
     @pytest.mark.parametrize("call", [
         lambda: minimize_absorption(MinimizeConfig(x_target=1.0)),
@@ -383,53 +389,65 @@ class TestValleyMemo:
         lambda: solve_thickness_for_ratio(6.2, 1.0, branch="second"),
         lambda: sweep([0.5, 2.0]),
     ], ids=["minimize", "extract_alpha", "thickness-first", "thickness-second", "sweep"])
-    def test_cold_and_warm_results_identical(self, call):
-        optimizer._slice_valley.cache_clear()
+    def test_cold_and_warm_results_identical(self, cold_process, call):
         cold = repr(call())
-        # valleys found for another ratio at the same working points
+        # valleys stored by solves of other ratios at the same working points
         extract_alpha(3.0)
         solve_thickness_for_ratio(6.2, 30.0)
-        hits = optimizer._slice_valley.cache_info().hits
         assert repr(call()) == cold
         assert repr(call()) == cold
-        assert optimizer._slice_valley.cache_info().hits > hits
 
-    def test_evicted_working_point_identical(self):
-        cfg = MinimizeConfig(x_target=1.0, gamma_tilde=2e-3, omega_tilde=2e-3)
-        memo = optimizer._slice_valley
-        memo.cache_clear()
-        cold = repr(minimize_absorption(cfg))
-        slices = memo.cache_info().misses
-        # fill the memo past its size with slices of another working point
-        for k in range(memo.cache_info().maxsize):
-            memo(2.0 + k * 1e-3, 1e-3, 1e-3)
-        assert memo.cache_info().currsize == memo.cache_info().maxsize
-        misses = memo.cache_info().misses
-        assert repr(minimize_absorption(cfg)) == cold
-        # every slice of cfg was evicted and searched again
-        assert memo.cache_info().misses - misses == slices
+    def test_second_lookup_of_a_table_slice_makes_no_index_call(
+        self, cold_process, monkeypatch
+    ):
+        optimizer._scan_table()
+        index_calls = count_calls(monkeypatch, "working_index")
+        kernel_calls = count_calls(monkeypatch, "_kernel")
+        key = (SCAN_GRID[100], *optimizer.DEFAULT_LEVELS[1])
+        first = optimizer._slice_valley(*key)
+        assert (index_calls(), kernel_calls()) == (1, 0)
+        assert optimizer._slice_valley(*key) is first
+        assert optimizer._scan_table()[key] is first
+        assert (index_calls(), kernel_calls()) == (1, 0)
 
-    def test_repeated_working_point_makes_fewer_index_calls(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("eps_s, gamma_tilde, omega_tilde", [
+        (6.2, *optimizer.WORKING_POINT),  # off the scan grid
+        (math.sqrt(SCAN_GRID[200] * SCAN_GRID[201]), *optimizer.WORKING_POINT),
+        (SCAN_GRID[200], 2e-3, 2e-3),  # a level of no default ladder
+    ], ids=["off-grid", "between-grid-points", "other-level"])
+    def test_other_slices_searched_on_every_call(
+        self, eps_s, gamma_tilde, omega_tilde, monkeypatch
+    ):
+        optimizer._scan_table()
+        index_calls = count_calls(monkeypatch, "working_index")
+        kernel_calls = count_calls(monkeypatch, "_kernel")
+        first = optimizer._slice_valley(eps_s, gamma_tilde, omega_tilde)
+        per_search = first.evaluations + 2
+        assert (index_calls(), kernel_calls()) == (1, per_search)
+        second = optimizer._slice_valley(eps_s, gamma_tilde, omega_tilde)
+        assert (index_calls(), kernel_calls()) == (2, 2 * per_search)
+        assert second is not first and repr(second) == repr(first)
+        assert first[3:] == search_slice(eps_s, gamma_tilde, omega_tilde)
 
-        def counted(*args):
-            calls.append(args)
-            return working_index(*args)
+    def test_table_holds_the_scan_slices_only(self, cold_process):
+        minimize_absorption(MinimizeConfig(x_target=1.0, gamma_tilde=2e-3, omega_tilde=2e-3))
+        extract_alpha(2.0, ladder(3e-3, 3e-3, 2))
+        solve_thickness_for_ratio(6.2, 1.0)
+        extract_alpha(0.5)
+        table = optimizer._scan_table()
+        assert len(table) == 2 * len(SCAN_GRID)
+        assert set(table) == {
+            (eps_s, *level) for level in optimizer.DEFAULT_LEVELS for eps_s in SCAN_GRID
+        }
 
-        monkeypatch.setattr(optimizer, "working_index", counted)
-
-        def index_calls(x_target):
-            before = len(calls)
-            minimize_absorption(MinimizeConfig(x_target=x_target))
-            return len(calls) - before
-
-        optimizer._slice_valley.cache_clear()
-        cold = index_calls(0.5)
-        optimizer._slice_valley.cache_clear()
-        index_calls(1.0)
-        # x = 0.5 shares the feasible scan slices of x = 1; its refinement is new
-        assert 0 < index_calls(0.5) < cold
-        assert index_calls(1.0) == 0
+    def test_warm_solve_searches_its_refinement_slices_only(self, monkeypatch):
+        minimize_absorption(MinimizeConfig(x_target=1.0))
+        index_calls = count_calls(monkeypatch, "working_index")
+        res = minimize_absorption(MinimizeConfig(x_target=1.0))
+        # both branches are refined, each golden search on iterations + 2 new
+        # slices; the scan slices come from the table
+        assert math.isfinite(res.diagnostics.rejected_branch_p)
+        assert index_calls() == res.diagnostics.refine_iterations + 2 * len(optimizer._BRANCHES)
 
 
 # scan-grid and off-grid slices, at the default and another working point
@@ -483,15 +501,6 @@ class TestInnerSolveReuse:
         assert phases == [valley.phi_valley, valley.phi_valley]
 
 
-SCAN_GRID = optimizer._scan_grid(optimizer.EPS_S_MAX)
-
-
-def search_slice(eps_s, gamma_tilde, omega_tilde):
-    """_phase_search of one slice, without the memo or the shipped table."""
-    factors = _airy_factors(working_index(eps_s, gamma_tilde, omega_tilde))
-    return optimizer._phase_search(factors, math.sqrt(eps_s))
-
-
 class TestScanValleyTable:
     """The shipped valleys of the default ladder's scan slices."""
 
@@ -508,42 +517,39 @@ class TestScanValleyTable:
 
     def test_valley_from_the_table_matches_a_search(self, cold_process, monkeypatch):
         level = optimizer.DEFAULT_LEVELS[1]
-        calls = count_kernel_calls(monkeypatch)
+        calls = count_calls(monkeypatch, "_kernel")
         valleys = [optimizer._slice_valley(eps_s, *level) for eps_s in SCAN_GRID[::51]]
-        # only the level's first slice was searched, to check the table
-        assert calls() == valleys[0].evaluations + 2
-        assert optimizer._unchecked_levels == {optimizer.DEFAULT_LEVELS[0]}
+        # only the last slice of each level was searched, to check the table
+        assert calls() == 2 * (valleys[0].evaluations + 2)
         for eps_s, valley in zip(SCAN_GRID[::51], valleys):
             assert valley[3:] == search_slice(eps_s, *level)
-        assert len(optimizer._scan_table) == 2 * len(SCAN_GRID)
+        assert len(optimizer._scan_table()) == 2 * len(SCAN_GRID)
 
     def test_only_a_default_level_loads_the_table(self, cold_process):
         optimizer._slice_valley(SCAN_GRID[200], 2e-3, 2e-3)
-        assert optimizer._scan_table is None
-        # an off-grid slice at a default level is searched and checks no level
+        assert optimizer._scan_table.cache_info().currsize == 0
+        # an off-grid slice at a default level loads it, and is not stored
         optimizer._slice_valley(6.2, *optimizer.WORKING_POINT)
-        assert len(optimizer._scan_table) == 2 * len(SCAN_GRID)
-        assert optimizer._unchecked_levels == set(optimizer.DEFAULT_LEVELS)
+        assert optimizer._scan_table.cache_info().currsize == 1
+        assert len(optimizer._scan_table()) == 2 * len(SCAN_GRID)
 
-    def test_altered_row_drops_the_table(self, cold_process, monkeypatch):
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_altered_row_drops_the_table(self, cold_process, monkeypatch, level):
         expected = repr(extract_alpha(1.0))
-        optimizer._slice_valley.cache_clear()
-        monkeypatch.setattr(optimizer, "_scan_table", None)
-        # one ulp off in one field of the slice looked up first
-        k = 150
-        rows = list(_scan_valleys.VALLEYS[0])
-        phi, *rest = rows[k]
-        rows[k] = (math.nextafter(phi, 0.0), *rest)
-        monkeypatch.setattr(
-            _scan_valleys, "VALLEYS", (tuple(rows), *_scan_valleys.VALLEYS[1:])
-        )
-        level = optimizer.DEFAULT_LEVELS[0]
-        assert optimizer._slice_valley(SCAN_GRID[k], *level)[3:] == search_slice(
-            SCAN_GRID[k], *level
-        )
-        assert optimizer._scan_table == {}
+        optimizer._scan_table.cache_clear()
+        # one ulp off in one field of the level's last row, checked at load
+        rows = list(_scan_valleys.VALLEYS[level])
+        phi, *rest = rows[-1]
+        rows[-1] = (math.nextafter(phi, 0.0), *rest)
+        valleys = list(_scan_valleys.VALLEYS)
+        valleys[level] = tuple(rows)
+        monkeypatch.setattr(_scan_valleys, "VALLEYS", tuple(valleys))
+        eps_s, gamma_tilde, omega_tilde = SCAN_GRID[-1], *optimizer.DEFAULT_LEVELS[level]
+        valley = optimizer._slice_valley(eps_s, gamma_tilde, omega_tilde)
+        assert valley[3:] == search_slice(eps_s, gamma_tilde, omega_tilde)
+        assert optimizer._scan_table() == {}
         assert repr(extract_alpha(1.0)) == expected
-        assert optimizer._scan_table == {}
+        assert optimizer._scan_table() == {}
 
 
 @pytest.mark.parametrize("call", [
@@ -566,9 +572,8 @@ def test_non_finite_inputs_rejected(call):
         call()
 
 
-def test_solver_reprs_match_golden():
+def test_solver_reprs_match_golden(cold_process):
     # scripts/make_goldens.py writes the golden and renders the same cases,
-    # from a cold valley memo as a fresh process does
-    optimizer._slice_valley.cache_clear()
+    # from a table not yet loaded, as a fresh process does
     expected = (GOLDEN / make_goldens.SOLVER_GOLDEN).read_text()
     assert make_goldens.solver_reprs() == expected
