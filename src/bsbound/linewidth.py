@@ -30,6 +30,8 @@ __all__ = [
 HBAR = 1.054571817e-34  # J s
 EPSILON_0 = 8.8541878128e-12  # F / m
 SPEED_OF_LIGHT = 299792458.0  # m / s
+# 3 pi hbar eps0 c^3, the denominator of the free-space decay rate
+_RATE_DENOMINATOR = 3.0 * math.pi * HBAR * EPSILON_0 * SPEED_OF_LIGHT**3
 
 
 class DecayContext(_Checked, namedtuple("DecayContext", "n_vt eta")):
@@ -57,13 +59,30 @@ def _require_finite(**values: float) -> None:
         raise ValueError(f"arguments must be finite, got {', '.join(bad)}")
 
 
+def _scaled_product(factors: tuple[float, ...], divisors: tuple[float, ...]) -> float:
+    """prod(factors) / prod(divisors), with no intermediate overflow or underflow.
+
+    Multiplies the frexp mantissas and sums the exponents, so only the final
+    ldexp can leave float range (OverflowError) or round to a subnormal.
+    """
+    mantissa, exponent = 1.0, 0
+    for value in factors:
+        m, e = math.frexp(value)
+        mantissa, exponent = mantissa * m, exponent + e
+    for value in divisors:
+        m, e = math.frexp(value)
+        mantissa, exponent = mantissa / m, exponent - e
+    return math.ldexp(mantissa, exponent)
+
+
 def _in_range(
     what: str, compute: Callable[[], float], nonzero: bool = False, **inputs: float
 ) -> float:
     """compute(), or ValueError naming `what` and inputs when it leaves float range.
 
-    An infinite result, or a float ** that raises OverflowError where * would
-    give inf, "overflows"; with nonzero, a result of 0.0 "underflows to zero".
+    An infinite result, or a float ** or ldexp that raises OverflowError
+    where * would give inf, "overflows"; with nonzero, a result of 0.0
+    "underflows to zero".
     """
     try:
         value = compute()
@@ -86,7 +105,7 @@ def free_space_decay_rate(omega: float, dipole_sq: float) -> float:
         raise ValueError(f"dipole_sq must be non-negative, got {dipole_sq}")
     return _in_range(
         "free-space decay rate",
-        lambda: omega**3 * dipole_sq / (3.0 * math.pi * HBAR * EPSILON_0 * SPEED_OF_LIGHT**3),
+        lambda: _scaled_product((omega, omega, omega, dipole_sq), (_RATE_DENOMINATOR,)),
         omega=omega, dipole_sq=dipole_sq,
     )
 
@@ -107,7 +126,9 @@ def dipole_sq_from_static_index(
         raise ValueError("omega_t and number_density must be positive")
     return _in_range(
         "squared dipole",
-        lambda: 3.0 * HBAR * omega_t * EPSILON_0 * (eta**2 - 1.0) / (2.0 * number_density),
+        lambda: _scaled_product(
+            (3.0, HBAR, omega_t, EPSILON_0, eta - 1.0, eta + 1.0), (2.0, number_density)
+        ),
         eta=eta, omega_t=omega_t, number_density=number_density,
     )
 
@@ -122,7 +143,11 @@ def local_field_factor(eta: float) -> float:
     if eta < 1:
         raise ValueError(f"eta must be at least 1, got {eta}")
     return _in_range(
-        "local-field factor", lambda: eta * (3.0 * eta**2 / (2.0 * eta**2 + 1.0)) ** 2, eta=eta
+        "local-field factor",
+        # 3 / (2 + eta**-2) rather than 3 eta^2 / (2 eta^2 + 1): eta**2
+        # overflows at eta > 1.3e154, where the factor is still in range
+        lambda: eta * (3.0 / (2.0 + eta**-2)) ** 2,
+        eta=eta,
     )
 
 

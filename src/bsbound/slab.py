@@ -29,6 +29,8 @@ __all__ = [
 
 # bound once: the kernel calls it four times per phase
 _exp = cmath.exp
+# builds evaluate's SlabResponse from the kernel's tuple in C
+_tuple_new = tuple.__new__
 # materials whose Airy factors _working_factors keeps, about 35 KB when full
 _FACTOR_MEMO_SIZE = 64
 
@@ -122,15 +124,17 @@ def _kernel(
 
 def transmission(n: ComplexIndex, phase_arg: float) -> complex:
     """Transmission amplitude for vacuum phase phase_arg = omega*l/c."""
-    if not phase_arg >= 0:
-        raise ValueError(f"phase_arg must be non-negative, got {phase_arg}")
+    if not 0.0 <= phase_arg < math.inf:
+        raise ValueError(f"phase_arg must be non-negative and finite, got {phase_arg}")
     return _kernel(_airy_factors(n), phase_arg)[0]
 
 
 def reflection(n: ComplexIndex, phase_arg: float, t: complex) -> complex:
     """Reflection amplitude given the matching transmission t."""
-    if not phase_arg >= 0:
-        raise ValueError(f"phase_arg must be non-negative, got {phase_arg}")
+    if not 0.0 <= phase_arg < math.inf:
+        raise ValueError(f"phase_arg must be non-negative and finite, got {phase_arg}")
+    if not cmath.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return _kernel(_airy_factors(n), phase_arg, t)[1]
 
 
@@ -164,8 +168,14 @@ def evaluate(params: ScaledSlabParams) -> SlabResponse:
     last _FACTOR_MEMO_SIZE materials (eps_s, gamma_tilde, omega_tilde) are
     kept, so a thickness scan builds them once; the floats are the same
     either way.
+
+    The record is built by tuple.__new__ straight from the kernel's
+    (t, r, p, x) tuple, so it holds the same field objects as
+    SlabResponse(*...) without running namedtuple's Python-level __new__,
+    a measurable share of the per-call cost (BENCH_19.json).
     """
     omega_tilde, gamma_tilde, d, eps_s = params
-    return SlabResponse(
-        *_kernel(_working_factors(eps_s, gamma_tilde, omega_tilde), omega_tilde * d)
+    return _tuple_new(
+        SlabResponse,
+        _kernel(_working_factors(eps_s, gamma_tilde, omega_tilde), omega_tilde * d),
     )

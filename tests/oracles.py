@@ -93,6 +93,22 @@ def free_space_rate_highprec(omega, dipole_sq, dps=50) -> float:
         return float(val)
 
 
+def local_field_highprec(eta, dps=50) -> float:
+    """eta (3 eta^2 / (2 eta^2 + 1))^2 in mpmath."""
+    with mp.workdps(dps):
+        eta = mp.mpf(eta)
+        return float(eta * (3 * eta**2 / (2 * eta**2 + 1)) ** 2)
+
+
+def dipole_sq_highprec(eta, omega_t, number_density, dps=50) -> float:
+    """3 hbar omega_t eps0 (eta^2 - 1) / (2 n) in mpmath."""
+    with mp.workdps(dps):
+        hbar = mp.mpf("1.054571817e-34")
+        eps0 = mp.mpf("8.8541878128e-12")
+        eta = mp.mpf(eta)
+        return float(3 * hbar * mp.mpf(omega_t) * eps0 * (eta**2 - 1) / (2 * mp.mpf(number_density)))
+
+
 # --- brute-force constrained minimization oracle -----------------------------
 
 def _oracle_index(eps_s: float, gamma_t: float, omega_t: float) -> complex:

@@ -14,7 +14,7 @@ from bsbound.linewidth import (
     min_absorption_probability,
     scaled_linewidth_bound,
 )
-from oracles import free_space_rate_highprec
+from oracles import dipole_sq_highprec, free_space_rate_highprec, local_field_highprec
 
 LIGHT = 299792458.0
 
@@ -187,8 +187,8 @@ def test_non_finite_argument_named(func, args, names, value):
 
 
 @pytest.mark.parametrize("func, args", [
-    (free_space_decay_rate, (1e200, 1.0)),  # omega**3 raises OverflowError
-    (local_field_factor, (1e200,)),  # eta**2 raises OverflowError
+    (free_space_decay_rate, (1e200, 1.0)),  # omega**3 alone is out of range
+    (local_field_factor, (1e308,)),  # 2.25 eta overflows
     (dipole_sq_from_static_index, (1e200, 1.0, 1.0)),
     (free_space_decay_rate, (1e100, 1e300)),  # the product is inf
     (dipole_sq_from_static_index, (2.0, 1e300, 1e-300)),
@@ -197,6 +197,20 @@ def test_unscaled_overflow_rejected(func, args):
     # the ValueError of the scaled pair, never OverflowError or inf
     with pytest.raises(ValueError, match=r"^[a-z -]+ overflows at "):
         func(*args)
+
+
+@pytest.mark.parametrize("func, args, oracle", [
+    (local_field_factor, (1e160,), local_field_highprec),  # about 2.25e160
+    (free_space_decay_rate, (1e103, 0.0), free_space_rate_highprec),  # 0.0
+    (free_space_decay_rate, (1e103, 1e-300), free_space_rate_highprec),
+    (dipole_sq_from_static_index, (1e160, 1e-300, 1.0), dipole_sq_highprec),  # about 1.4e-25
+    (free_space_decay_rate, (1e-110, 1e300), free_space_rate_highprec),  # about 4.2e-12
+    (dipole_sq_from_static_index, (1e100, 1e-300, 1.0), dipole_sq_highprec),  # about 1.4e-145
+], ids=["local-field", "rate-zero-dipole", "rate", "dipole", "rate-small-omega", "dipole-small-omega"])
+def test_in_range_result_when_an_intermediate_leaves_float_range(func, args, oracle):
+    # omega**3, eta**2 or 3 hbar omega_t eps0 overflows or underflows to zero
+    # in the textbook formula; the result does not
+    assert func(*args) == pytest.approx(oracle(*args), rel=1e-15, abs=0.0)
 
 
 class TestUnderflow:

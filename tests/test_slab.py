@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bsbound.dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refra
 from bsbound.optimizer import DEFAULT_LEVELS, extract_alpha, solve_thickness_for_ratio
 from bsbound.slab import (
     ScaledSlabParams,
+    SlabResponse,
     _airy_factors,
     _kernel,
     evaluate,
@@ -113,6 +115,19 @@ class TestAmplitudes:
                 transmission(ComplexIndex(2.0, 0.0), phase)
             with pytest.raises(ValueError, match="phase_arg must be non-negative"):
                 reflection(ComplexIndex(2.0, 0.0), phase, 0.5 + 0j)
+
+    def test_infinite_phase_rejected(self):
+        # once returned 0j and (nan+nanj)
+        n = ComplexIndex(2.5, 1e-3)
+        with pytest.raises(ValueError, match="^phase_arg must be non-negative and finite, got inf$"):
+            transmission(n, math.inf)
+        with pytest.raises(ValueError, match="^phase_arg must be non-negative and finite"):
+            reflection(n, math.inf, 0j)
+
+    @pytest.mark.parametrize("t", [complex(math.inf, 0.0), complex(0.5, math.nan)])
+    def test_non_finite_transmission_rejected(self, t):
+        with pytest.raises(ValueError, match=r"^t must be finite, got "):
+            reflection(ComplexIndex(2.5, 1e-3), 1.0, t)
 
 
 class TestKernel:
@@ -273,6 +288,39 @@ class TestEvaluate:
             resp = evaluate(ScaledSlabParams(omega_tilde, gamma_tilde, d, eps_s))
             ratios.append(resp.p / (gamma_tilde * omega_tilde))
         assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.01
+
+
+# a lossy point, the no-slab identity (r = 0, so x = inf) and the lossless hook
+RECORD_POINTS = {
+    "lossy": ScaledSlabParams(1e-3, 1e-3, 500.0, 6.2),
+    "zero-thickness": ScaledSlabParams(0.3, 0.1, 0.0, 6.2),
+    "lossless-hook": ScaledSlabParams(1e-3, 0.0, 7.0, 6.2),
+}
+
+
+class TestResponseRecord:
+    """evaluate builds its SlabResponse with tuple.__new__ from the kernel's tuple."""
+
+    @pytest.mark.parametrize("params", RECORD_POINTS.values(), ids=RECORD_POINTS)
+    def test_same_record_as_the_namedtuple_constructor(self, params):
+        omega_tilde, gamma_tilde, d, eps_s = params
+        factors = _airy_factors(working_index(eps_s, gamma_tilde, omega_tilde))
+        expected = SlabResponse(*_kernel(factors, omega_tilde * d))
+        resp = evaluate(params)
+        assert type(resp) is SlabResponse
+        assert resp == expected
+        assert repr(resp) == repr(expected)
+        for name in SlabResponse._fields:
+            assert repr(getattr(resp, name)) == repr(getattr(expected, name))
+
+    @pytest.mark.parametrize("params", RECORD_POINTS.values(), ids=RECORD_POINTS)
+    def test_survives_pickle_and_replace(self, params):
+        resp = evaluate(params)
+        back = pickle.loads(pickle.dumps(resp))
+        assert type(back) is SlabResponse and repr(back) == repr(resp)
+        replaced = resp._replace(p=0.5)
+        assert type(replaced) is SlabResponse
+        assert replaced == (resp.t, resp.r, 0.5, resp.x)
 
 
 class TestRandomizedInvariants:
