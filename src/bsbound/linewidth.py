@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable
 
 from .dielectric import _Checked
 
@@ -59,11 +58,20 @@ def _require_finite(**values: float) -> None:
         raise ValueError(f"arguments must be finite, got {', '.join(bad)}")
 
 
-def _scaled_product(factors: tuple[float, ...], divisors: tuple[float, ...]) -> float:
-    """prod(factors) / prod(divisors), with no intermediate overflow or underflow.
+def _product(
+    what: str,
+    factors: tuple[float, ...],
+    divisors: tuple[float, ...] = (),
+    nonzero: bool = False,
+    **inputs: float,
+) -> float:
+    """prod(factors) / prod(divisors), or ValueError naming `what` and inputs.
 
-    Multiplies the frexp mantissas and sums the exponents, so only the final
-    ldexp can leave float range (OverflowError) or round to a subnormal.
+    Multiplies the frexp mantissas and sums the exponents, so no intermediate
+    overflows or underflows and, wherever the result is normal, each step
+    rounds as * does.  Only the final ldexp can leave float range: its
+    OverflowError becomes "overflows"; with nonzero, a result of 0.0
+    "underflows to zero".
     """
     mantissa, exponent = 1.0, 0
     for value in factors:
@@ -72,28 +80,15 @@ def _scaled_product(factors: tuple[float, ...], divisors: tuple[float, ...]) -> 
     for value in divisors:
         m, e = math.frexp(value)
         mantissa, exponent = mantissa / m, exponent - e
-    return math.ldexp(mantissa, exponent)
-
-
-def _in_range(
-    what: str, compute: Callable[[], float], nonzero: bool = False, **inputs: float
-) -> float:
-    """compute(), or ValueError naming `what` and inputs when it leaves float range.
-
-    An infinite result, or a float ** or ldexp that raises OverflowError
-    where * would give inf, "overflows"; with nonzero, a result of 0.0
-    "underflows to zero".
-    """
     try:
-        value = compute()
+        value = math.ldexp(mantissa, exponent)
+        if not (nonzero and value == 0.0):
+            return value
+        problem = "underflows to zero"
     except OverflowError:
-        value = math.inf
+        problem = "overflows"
     at = ", ".join(f"{name}={v!r}" for name, v in inputs.items())
-    if not math.isfinite(value):
-        raise ValueError(f"{what} overflows at {at}")
-    if nonzero and value == 0.0:
-        raise ValueError(f"{what} underflows to zero at {at}")
-    return value
+    raise ValueError(f"{what} {problem} at {at}")
 
 
 def free_space_decay_rate(omega: float, dipole_sq: float) -> float:
@@ -103,9 +98,8 @@ def free_space_decay_rate(omega: float, dipole_sq: float) -> float:
         raise ValueError(f"omega must be positive, got {omega}")
     if dipole_sq < 0:
         raise ValueError(f"dipole_sq must be non-negative, got {dipole_sq}")
-    return _in_range(
-        "free-space decay rate",
-        lambda: _scaled_product((omega, omega, omega, dipole_sq), (_RATE_DENOMINATOR,)),
+    return _product(
+        "free-space decay rate", (omega, omega, omega, dipole_sq), (_RATE_DENOMINATOR,),
         omega=omega, dipole_sq=dipole_sq,
     )
 
@@ -124,11 +118,9 @@ def dipole_sq_from_static_index(
         raise ValueError(f"eta must be at least 1, got {eta}")
     if omega_t <= 0 or number_density <= 0:
         raise ValueError("omega_t and number_density must be positive")
-    return _in_range(
+    return _product(
         "squared dipole",
-        lambda: _scaled_product(
-            (3.0, HBAR, omega_t, EPSILON_0, eta - 1.0, eta + 1.0), (2.0, number_density)
-        ),
+        (3.0, HBAR, omega_t, EPSILON_0, eta - 1.0, eta + 1.0), (2.0, number_density),
         eta=eta, omega_t=omega_t, number_density=number_density,
     )
 
@@ -142,36 +134,30 @@ def local_field_factor(eta: float) -> float:
     _require_finite(eta=eta)
     if eta < 1:
         raise ValueError(f"eta must be at least 1, got {eta}")
-    return _in_range(
-        "local-field factor",
-        # 3 / (2 + eta**-2) rather than 3 eta^2 / (2 eta^2 + 1): eta**2
-        # overflows at eta > 1.3e154, where the factor is still in range
-        lambda: eta * (3.0 / (2.0 + eta**-2)) ** 2,
-        eta=eta,
-    )
+    # 3 / (2 + eta**-2) rather than 3 eta^2 / (2 eta^2 + 1): eta**2
+    # overflows at eta > 1.3e154, where the factor is still in range
+    return _product("local-field factor", (eta, (3.0 / (2.0 + eta**-2)) ** 2), eta=eta)
 
 
 def scaled_linewidth_bound(ctx: DecayContext, omega_tilde: float) -> float:
     """Lower bound on the scaled line width gamma/omega_t.
 
-    (4 pi^2 / n_vt) * omega_tilde^3 * eta (eta^2 - 1) (3 eta^2/(2 eta^2+1))^2.
-    Algebraically identical to chaining the free-space rate, the dipole
-    relation, and the local-field factor with consistent unscaled inputs.
-    Raises ValueError when the bound overflows or underflows to zero.
+    (4 pi^2 / n_vt) * omega_tilde^3 * eta (eta^2 - 1) (3 eta^2/(2 eta^2+1))^2,
+    the product of the chain's factors: the free-space rate's omega^3, the
+    dipole relation's (eta - 1)(eta + 1) and local_field_factor(eta), with
+    the physical constants cancelled.  Raises ValueError when the bound or
+    its local-field factor overflows, or the bound underflows to zero.
     """
     _require_finite(omega_tilde=omega_tilde)
     if omega_tilde <= 0:
         raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
-    eta = ctx.eta
-    return _in_range(
+    n_vt, eta = ctx
+    return _product(
         "line-width bound",
-        lambda: (
-            4.0 * math.pi**2 / ctx.n_vt
-            * omega_tilde**3
-            * eta * (eta**2 - 1.0)
-            * (3.0 * eta**2 / (2.0 * eta**2 + 1.0)) ** 2
-        ),
-        nonzero=True, omega_tilde=omega_tilde, n_vt=ctx.n_vt, eta=eta,
+        (4.0 * math.pi**2, omega_tilde, omega_tilde, omega_tilde,
+         eta - 1.0, eta + 1.0, local_field_factor(eta)),
+        (n_vt,),
+        nonzero=True, omega_tilde=omega_tilde, n_vt=n_vt, eta=eta,
     )
 
 
@@ -190,9 +176,8 @@ def min_absorption_probability(
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     bound = scaled_linewidth_bound(ctx, omega_tilde)
-    p_min = _in_range(
-        "minimal absorption probability",
-        lambda: alpha * omega_tilde * bound,
+    p_min = _product(
+        "minimal absorption probability", (alpha, omega_tilde, bound),
         nonzero=True, alpha=alpha, omega_tilde=omega_tilde,
     )
     if p_min >= 1.0:

@@ -11,7 +11,7 @@ import cmath
 import functools
 import math
 from collections import namedtuple
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .dielectric import (
     ComplexIndex, DrudeLorentzModel, Resonance, _Checked, refractive_index,
@@ -93,29 +93,27 @@ def _airy_factors(n: ComplexIndex) -> tuple[complex, ...]:
 
 
 def _kernel(
-    factors: tuple[complex, ...], phase_arg: float, t: Optional[complex] = None
+    factors: tuple[complex, ...], phase_arg: float
 ) -> tuple[complex, complex, float, float]:
     """(t, r, p, x) of the slab at vacuum phase phase_arg = omega*l/c.
 
     factors are _airy_factors of the index and phase_arg must be
-    non-negative.  A given t is taken as the transmission amplitude and
-    only the reflection is computed from it.  The bracket of r carries
-    phase (n+1)*phase_arg: the unique choice for which |t|^2 + |r|^2 = 1
-    holds exactly at kappa = 0 (verified against the transfer-matrix
-    oracle in the tests).
+    non-negative.  The reflection is computed from the transmission: its
+    bracket carries phase (n+1)*phase_arg, the unique choice for which
+    |t|^2 + |r|^2 = 1 holds exactly at kappa = 0 (verified against the
+    transfer-matrix oracle in the tests).
     """
     nc, plus_sq, minus_sq, two_i_n, four_n, i_n_minus_1, interface, i_n_plus_1 = factors
-    if t is None:
-        if phase_arg == 0.0:
-            # zero thickness transmits exactly; the formula only reaches 1 to roundoff
-            t = complex(1.0, 0.0)
-        else:
-            den = plus_sq - minus_sq * _exp(two_i_n * phase_arg)
-            if abs(den) == 0.0:
-                raise DegenerateDenominatorError(
-                    f"interference denominator vanished at n={nc}, phase={phase_arg}"
-                )
-            t = four_n * _exp(i_n_minus_1 * phase_arg) / den
+    if phase_arg == 0.0:
+        # zero thickness transmits exactly; the formula only reaches 1 to roundoff
+        t = complex(1.0, 0.0)
+    else:
+        den = plus_sq - minus_sq * _exp(two_i_n * phase_arg)
+        if abs(den) == 0.0:
+            raise DegenerateDenominatorError(
+                f"interference denominator vanished at n={nc}, phase={phase_arg}"
+            )
+        t = four_n * _exp(i_n_minus_1 * phase_arg) / den
     r = interface * _exp(-1j * phase_arg) * (1 - t * _exp(i_n_plus_1 * phase_arg))
     t_sq = abs(t) ** 2
     r_sq = abs(r) ** 2
@@ -129,13 +127,11 @@ def transmission(n: ComplexIndex, phase_arg: float) -> complex:
     return _kernel(_airy_factors(n), phase_arg)[0]
 
 
-def reflection(n: ComplexIndex, phase_arg: float, t: complex) -> complex:
-    """Reflection amplitude given the matching transmission t."""
+def reflection(n: ComplexIndex, phase_arg: float) -> complex:
+    """Reflection amplitude for vacuum phase phase_arg = omega*l/c."""
     if not 0.0 <= phase_arg < math.inf:
         raise ValueError(f"phase_arg must be non-negative and finite, got {phase_arg}")
-    if not cmath.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    return _kernel(_airy_factors(n), phase_arg, t)[1]
+    return _kernel(_airy_factors(n), phase_arg)[1]
 
 
 def working_index(eps_s: float, gamma_tilde: float, omega_tilde: float) -> ComplexIndex:

@@ -109,6 +109,20 @@ def dipole_sq_highprec(eta, omega_t, number_density, dps=50) -> float:
         return float(3 * hbar * mp.mpf(omega_t) * eps0 * (eta**2 - 1) / (2 * mp.mpf(number_density)))
 
 
+def scaled_bound_highprec(ctx, omega_tilde, dps=50) -> float:
+    """(4 pi^2 / n_vt) omega^3 eta (eta^2 - 1) (3 eta^2 / (2 eta^2 + 1))^2 in mpmath.
+
+    ctx is any (n_vt, eta) pair, such as a DecayContext.
+    """
+    n_vt, eta = ctx
+    with mp.workdps(dps):
+        eta, omega = mp.mpf(eta), mp.mpf(omega_tilde)
+        return float(
+            4 * mp.pi**2 / mp.mpf(n_vt) * omega**3
+            * eta * (eta**2 - 1) * (3 * eta**2 / (2 * eta**2 + 1)) ** 2
+        )
+
+
 # --- brute-force constrained minimization oracle -----------------------------
 
 def _oracle_index(eps_s: float, gamma_t: float, omega_t: float) -> complex:

@@ -14,7 +14,9 @@ from bsbound.linewidth import (
     min_absorption_probability,
     scaled_linewidth_bound,
 )
-from oracles import dipole_sq_highprec, free_space_rate_highprec, local_field_highprec
+from oracles import (
+    dipole_sq_highprec, free_space_rate_highprec, local_field_highprec, scaled_bound_highprec,
+)
 
 LIGHT = 299792458.0
 
@@ -95,6 +97,14 @@ class TestScaledBound:
             direct = scaled_linewidth_bound(DecayContext(n_vt=n_vt, eta=eta), omega_tilde)
             chained = chain_bound(eta, omega_tilde, n_vt, omega_t)
             assert abs(direct - chained) <= 1e-12 * direct
+
+    @pytest.mark.parametrize("eps_s_minus_one", [1e-6, 1e-4, 1e-2, 1.0, 1e2])
+    def test_against_highprec_oracle(self, eps_s_minus_one):
+        # (eta - 1)(eta + 1) does not cancel as eta -> 1, where eta**2 - 1 did
+        ctx = DecayContext(1e9, math.sqrt(1.0 + eps_s_minus_one))
+        assert scaled_linewidth_bound(ctx, 0.1) == pytest.approx(
+            scaled_bound_highprec(ctx, 0.1), rel=2e-15, abs=0.0
+        )
 
 
 class TestMinAbsorption:
@@ -206,7 +216,9 @@ def test_unscaled_overflow_rejected(func, args):
     (dipole_sq_from_static_index, (1e160, 1e-300, 1.0), dipole_sq_highprec),  # about 1.4e-25
     (free_space_decay_rate, (1e-110, 1e300), free_space_rate_highprec),  # about 4.2e-12
     (dipole_sq_from_static_index, (1e100, 1e-300, 1.0), dipole_sq_highprec),  # about 1.4e-145
-], ids=["local-field", "rate-zero-dipole", "rate", "dipole", "rate-small-omega", "dipole-small-omega"])
+    (scaled_linewidth_bound, (DecayContext(1.0, 1e160), 1e-100), scaled_bound_highprec),  # 8.88e181
+], ids=["local-field", "rate-zero-dipole", "rate", "dipole", "rate-small-omega", "dipole-small-omega",
+        "bound"])
 def test_in_range_result_when_an_intermediate_leaves_float_range(func, args, oracle):
     # omega**3, eta**2 or 3 hbar omega_t eps0 overflows or underflows to zero
     # in the textbook formula; the result does not
@@ -226,6 +238,13 @@ class TestUnderflow:
             ValueError, match="^minimal absorption probability underflows to zero"
         ):
             min_absorption_probability(0.9, CTX, 1e-80)
+
+    def test_subnormal_intermediate_loses_no_bits(self):
+        # alpha * omega_tilde = 1e-310 is subnormal; p_min, about 4.2e-38, is not
+        alpha, ctx, omega = 1e-300, DecayContext(1e-300, 2.0), 1e-10
+        p = min_absorption_probability(alpha, ctx, omega)
+        expected = alpha * (omega * scaled_bound_highprec(ctx, omega))
+        assert p == pytest.approx(expected, rel=2e-15, abs=0.0)
 
     def test_subnormal_probability_kept(self):
         assert 0.0 < min_absorption_probability(0.9, CTX, 1e-79) < 2.3e-308

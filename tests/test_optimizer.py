@@ -501,6 +501,13 @@ class TestInnerSolveReuse:
         assert phases == [valley.phi_valley, valley.phi_valley]
 
 
+@pytest.mark.parametrize("index, evaluations", [(0, 37), (100, 37), (200, 38), (230, 38), (255, 38)])
+def test_valley_search_length_depends_on_the_slice(index, evaluations):
+    # the golden search stops by width, yet its count is no constant: every
+    # slice `minimize --x 1 --omega 0.3` visits takes 38 evaluations
+    assert optimizer._slice_valley(SCAN_GRID[index], 1e-3, 0.3).evaluations == evaluations
+
+
 class TestScanValleyTable:
     """The shipped valleys of the default ladder's scan slices."""
 
