@@ -114,26 +114,33 @@ class ComplexIndex(_Checked, namedtuple("ComplexIndex", "eta kappa")):
         return complex(self.eta, self.kappa)
 
 
+def _chi(terms, omega: float) -> complex:
+    """Drude-Lorentz sum over (omega_t^2, omega_p^2, gamma) terms.
+
+    A gamma = 0 term exactly on resonance raises ZeroDivisionError.
+    """
+    chi = 0j
+    for wt2, wp2, gamma in terms:
+        chi += wp2 / complex(wt2 - omega * omega, -gamma * omega)
+    return chi
+
+
 def susceptibility(model: DrudeLorentzModel, omega: float) -> complex:
     """Sum of Drude-Lorentz terms omega_p^2 / (omega_t^2 - omega^2 - i*gamma*omega).
 
     The imaginary part is strictly positive for omega > 0 whenever every
-    gamma > 0, and exactly zero at omega = 0.
+    gamma > 0, and exactly zero at omega = 0, where the real part is the
+    static sum of omega_p^2 / omega_t^2.
     """
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
     if omega < 0:
         raise ValueError(f"omega must be non-negative, got {omega}")
-    if omega == 0:
-        return complex(model.static_permittivity() - 1.0, 0.0)
-    total = 0j
-    for r in model.resonances:
-        den = complex(r.omega_t**2 - omega * omega, -r.gamma * omega)
-        if den == 0:
-            # reachable only with the gamma = 0 hook exactly on resonance
-            raise ValueError(f"susceptibility pole at omega = {omega} for gamma = 0")
-        total += r.omega_p**2 / den
-    return total
+    try:
+        return _chi(((r.omega_t**2, r.omega_p**2, r.gamma) for r in model.resonances), omega)
+    except ZeroDivisionError:
+        # reachable only with the gamma = 0 hook exactly on resonance
+        raise ValueError(f"susceptibility pole at omega = {omega} for gamma = 0") from None
 
 
 def refractive_index(model: DrudeLorentzModel, omega: float) -> ComplexIndex:
@@ -142,9 +149,6 @@ def refractive_index(model: DrudeLorentzModel, omega: float) -> ComplexIndex:
     Since Im(1 + chi) > 0 for omega > 0, the principal square root already
     lands on the physical branch; no branch tracking is needed.
     """
-    if omega == 0:
-        # kappa is exactly zero at omega = 0, not merely small
-        return ComplexIndex(math.sqrt(model.static_permittivity()), 0.0)
     eps = 1.0 + susceptibility(model, omega)
     if eps.imag == 0.0 and eps.real <= 0.0:
         raise ValueError(
@@ -187,7 +191,7 @@ _GAUSS_15 = tuple((-x, w) for x, w in reversed(_GAUSS_HALF[1:])) + _GAUSS_HALF
 def _gauss_panel(terms: list, a: float, b: float, m: int) -> float:
     """Integral of eta - 1 over [a, b]: 15-point Gauss-Legendre on m subintervals.
 
-    terms holds (omega_t^2, omega_p^2, gamma) per resonance.  Subintervals
+    terms are _chi's (omega_t^2, omega_p^2, gamma) triples.  Subintervals
     are geometric when the panel spans more than a factor 4, so slowly
     decaying tails are resolved at constant relative width.
     """
@@ -203,11 +207,7 @@ def _gauss_panel(terms: list, a: float, b: float, m: int) -> float:
         half = 0.5 * (hi - lo)
         acc = 0.0
         for node, weight in _GAUSS_15:
-            omega = mid + half * node
-            chi = 0j
-            for wt2, wp2, gamma in terms:
-                chi += wp2 / complex(wt2 - omega * omega, -gamma * omega)
-            acc += weight * (cmath.sqrt(1.0 + chi).real - 1.0)
+            acc += weight * (cmath.sqrt(1.0 + _chi(terms, mid + half * node)).real - 1.0)
         total += half * acc
     return total
 

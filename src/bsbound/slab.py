@@ -70,7 +70,10 @@ class SlabResponse(NamedTuple):
     """Amplitudes and scalar figures at one working point.
 
     p = 1 - |t|^2 - |r|^2 by construction; x = |t|^2 / |r|^2, infinite
-    when the reflection vanishes exactly.
+    when |r|^2 is 0.0.  Both are exact only while |t|^2 and |r|^2 are
+    resolved in floating point: an amplitude below about 1e-162 squares
+    to 0.0 and a square within about 1e-16 of 1 rounds to 1, so p can
+    read 0.0, and x inf or 0.0, at gamma > 0.
     """
 
     t: complex

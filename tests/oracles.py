@@ -2,8 +2,9 @@
 
 Nothing here shares code paths with the package: the slab oracle is a
 plain 2x2 transfer matrix, the high-precision oracles recompute with
-mpmath at 50 digits, and the minimization oracle is a brute-force grid
-search over (eps_s, d) with local refinement.
+mpmath at 50 digits, the minimization oracle is a brute-force grid
+search over (eps_s, d) with local refinement, and alpha0 is the
+closed-form leading order of alpha.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 # --- transfer-matrix slab oracle -------------------------------------------
 
@@ -218,3 +220,43 @@ def brute_force_min_p(
         p = _min_p_at_eps(float(eps), x_target, gamma_t, omega_t, n_d, best_p * 1.5)
         best_p = min(best_p, p)
     return best_p
+
+
+# --- closed-form leading-order alpha ------------------------------------------
+
+def alpha0(eps: float, x: float) -> float:
+    """Leading-order p / (gamma*omega) on the first branch, lossless field.
+
+    (eps-1) x/(1+x)/sqrt(eps) [phi (1+1/eps)/2 + sin(2 phi) (1-1/eps)/4]
+    with sin^2 phi = 4 eps / (x (eps-1)^2) and phi in (0, pi/2]: the
+    lossless Airy field at ratio x, absorbing with the low-frequency
+    kappa = gamma*omega*(eps-1)/(2*sqrt(eps)).
+    """
+    sin_sq = 4.0 * eps / (x * (eps - 1.0) ** 2)
+    # at the boundary eps_b rounding can put sin_sq a hair above 1
+    phi = math.asin(math.sqrt(min(sin_sq, 1.0)))
+    bracket = phi * (1.0 + 1.0 / eps) / 2.0 + math.sin(2.0 * phi) * (1.0 - 1.0 / eps) / 4.0
+    return (eps - 1.0) * x / (1.0 + x) / math.sqrt(eps) * bracket
+
+
+def alpha0_min(x: float, eps_min: float, eps_max: float) -> tuple[float, float]:
+    """(eps0, alpha0) minimizing alpha0(eps, x) over the feasible eps.
+
+    The range is [max(eps_b(x), eps_min), eps_max], where
+    eps_b = 1 + (2 + 2 sqrt(1+x))/x solves 4 eps = x (eps-1)^2, the
+    lossless boundary below which the ratio x is out of reach.  A
+    geometric scan in eps - 1 brackets the minimum and bounded Brent
+    closes it to roundoff.
+    """
+    lo = max(1.0 + (2.0 + 2.0 * math.sqrt(1.0 + x)) / x, eps_min)
+    if lo >= eps_max:
+        raise ValueError(f"no feasible eps in [{lo}, {eps_max}] at x = {x}")
+    grid = np.geomspace(lo - 1.0, eps_max - 1.0, 401) + 1.0
+    grid[0], grid[-1] = lo, eps_max
+    k = min(range(len(grid)), key=lambda i: alpha0(grid[i], x))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda e: alpha0(e, x), bounds=(a, b), method="bounded",
+                          options={"xatol": 1e-14 * b})
+    # the minimum may sit on a scanned end, which bounded Brent never evaluates
+    return min((float(res.x), float(res.fun)), (float(grid[k]), alpha0(grid[k], x)),
+               key=lambda pair: pair[1])

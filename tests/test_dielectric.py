@@ -40,6 +40,11 @@ class TestSusceptibility:
         assert chi0.imag == 0.0
         assert chi0.real == pytest.approx(9.0 / 4.0 + 1.0, rel=1e-15)
 
+    def test_static_limit_is_the_static_sum(self):
+        # omega = 0 runs the same term sum: no (1 + sum) - 1 rounding
+        model = DrudeLorentzModel([Resonance(1.0, 1e-10, 0.1)])
+        assert susceptibility(model, 0.0) == complex(1e-10**2, 0.0)
+
     def test_on_resonance(self):
         # denominator is exactly -i*gamma*omega there
         chi = susceptibility(MODEL, 1.0)
@@ -83,10 +88,11 @@ class TestSusceptibility:
 
 
 class TestRefractiveIndex:
-    def test_static_square_root(self):
-        model = DrudeLorentzModel([Resonance(1.0, math.sqrt(5.2), 1e-3)])
+    @given(model=model_st)
+    @settings(max_examples=200, deadline=None)
+    def test_static_square_root(self, model):
         n = refractive_index(model, 0.0)
-        assert n.eta == pytest.approx(math.sqrt(6.2), rel=1e-15)
+        assert n.eta == math.sqrt(model.static_permittivity())
         assert n.kappa == 0.0
 
     def test_vanishing_strength_is_vacuum(self):
@@ -164,6 +170,17 @@ class TestSumRule:
     def test_rule_matches_numpy_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(15)
         assert np.max(np.abs(np.array(_GAUSS_15) - np.column_stack([nodes, weights]))) <= 1e-15
+
+    def test_panel_integrand_is_the_index(self, monkeypatch):
+        # one subinterval and one node at a time: eta - 1 bit for bit
+        model = DrudeLorentzModel([Resonance(1.0, 1.0, 0.1), Resonance(2.5, 0.7, 0.3)])
+        terms = [(r.omega_t**2, r.omega_p**2, r.gamma) for r in model.resonances]
+        a, b = 0.6, 1.7
+        mid, half = 0.5 * (b + a), 0.5 * (b - a)
+        for node, weight in _GAUSS_15:
+            monkeypatch.setattr(dielectric, "_GAUSS_15", ((node, weight),))
+            eta = refractive_index(model, mid + half * node).eta
+            assert dielectric._gauss_panel(terms, a, b, 1) == half * (weight * (eta - 1.0))
 
     def test_vacuum_residual_is_zero(self):
         vacuum = DrudeLorentzModel([Resonance(1.0, 0.0, 0.1)])

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -14,8 +15,11 @@ from bsbound.linewidth import (
     min_absorption_probability,
     scaled_linewidth_bound,
 )
+from bsbound.optimizer import EPS_S_MAX, EPS_S_MIN
+from conftest import GOLDEN
 from oracles import (
-    dipole_sq_highprec, free_space_rate_highprec, local_field_highprec, scaled_bound_highprec,
+    alpha0_min, dipole_sq_highprec, free_space_rate_highprec, local_field_highprec,
+    scaled_bound_highprec,
 )
 
 LIGHT = 299792458.0
@@ -122,6 +126,16 @@ class TestMinAbsorption:
     def test_headline_prefactor_band(self):
         p = min_absorption_probability(0.9, self.CTX, 1.0)
         assert 0.5e-6 < p < 2e-6
+
+    def test_headline_closed_form(self):
+        # alpha0 at x = 1 through the same chain; the gap (2.9e-5) comes
+        # mostly through eta: alpha is flat at its minimum, so the
+        # golden's eps_s sits 1.6e-5 from eps0
+        eps0, alpha0 = alpha0_min(1.0, EPS_S_MIN, EPS_S_MAX)
+        p_min = min_absorption_probability(alpha0, DecayContext(1e9, math.sqrt(eps0)), 0.1)
+        with open(GOLDEN / "bound_headline.csv", newline="") as f:
+            (golden,) = csv.DictReader(f)
+        assert p_min == pytest.approx(float(golden["p_min"]), rel=1e-4)
 
     def test_eta_cubed_growth(self):
         def ratio(eta):

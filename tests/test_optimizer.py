@@ -7,6 +7,8 @@ from scipy.optimize import brentq
 
 from bsbound import _scan_valleys, optimizer
 from bsbound.optimizer import (
+    EPS_S_MAX,
+    EPS_S_MIN,
     MinimizeConfig,
     extract_alpha,
     ladder,
@@ -16,6 +18,7 @@ from bsbound.optimizer import (
 )
 from bsbound.slab import ScaledSlabParams, _airy_factors, _kernel, evaluate, working_index
 from conftest import GOLDEN, make_goldens
+from oracles import alpha0_min
 
 INF, NAN = math.inf, math.nan
 
@@ -285,6 +288,22 @@ class TestExtractAlpha:
         ex = extract_alpha(1.0, eps_s_max=5.0)
         assert not ex.feasible
         assert math.isnan(ex.alpha)
+
+
+class TestAlpha0Oracle:
+    # alpha lies O(gamma*omega) ~ 1e-8 from its closed-form leading order,
+    # but the cancelling p = 1 - |t|^2 - |r|^2 puts extract_alpha below it
+    # by a gap that grows with x: 3.5e-8 at x = 1, 8.7e-7 at 1e3
+    @pytest.mark.parametrize("x", [
+        0.01, 0.05, 0.2, 1.0, 10.0, 100.0, 1e3,
+        pytest.param(1e4, marks=pytest.mark.xfail(
+            strict=True, reason="[exact-p]: p cancels; alpha 3.6e-6 below alpha0")),
+        pytest.param(1e5, marks=pytest.mark.xfail(
+            strict=True, reason="[exact-p]: p cancels; alpha 4.3e-5 below alpha0")),
+    ])
+    def test_extract_alpha_matches_closed_form(self, x):
+        _, alpha0 = alpha0_min(x, EPS_S_MIN, EPS_S_MAX)
+        assert extract_alpha(x).alpha == pytest.approx(alpha0, rel=2e-6)
 
 
 class TestSweep:
