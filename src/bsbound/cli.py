@@ -8,13 +8,13 @@ it ("nan", "inf", "-inf").  Exit codes: 0 success, 2 usage or validation
 error or a failed solve, 3 infeasible constraint.  Every command raises
 ValueError for an exit 2, and `main` alone reports it as one `error:`
 line; the optimizer's RuntimeError (a root that misses the ratio
-tolerance) is turned into one at the two optimizer calls.
+tolerance) is turned into one at the two optimizer calls, and `eval`'s
+response out of float range is slab.evaluate's own ValueError.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import os
 import sys
@@ -92,26 +92,10 @@ def _extract(x: float, levels: Sequence, eps_s_max: float) -> optimizer.AlphaExt
     return ex
 
 
-def _evaluate(params: slab.ScaledSlabParams) -> slab.SlabResponse:
-    """slab.evaluate; a response beyond float range is a ValueError.
-
-    That is a vanishing denominator (|n| >~ 4e16) or a phase omega*d so
-    large that t, r and p come out NaN.  x = inf at r = 0 is a result.
-    """
-    try:
-        resp = slab.evaluate(params)
-    except ArithmeticError as exc:
-        raise ValueError(f"slab response out of float range at {params}: {exc}") from None
-    if not (cmath.isfinite(resp.t) and cmath.isfinite(resp.r) and math.isfinite(resp.p)
-            and not math.isnan(resp.x)):
-        raise ValueError(f"slab response out of float range at {params}: {resp}")
-    return resp
-
-
 def cmd_eval(args) -> tuple[list, int]:
     if args.gamma == 0.0 and not args.allow_lossless:
         raise ValueError("gamma = 0 requires --allow-lossless")
-    resp = _evaluate(slab.ScaledSlabParams(
+    resp = slab.evaluate(slab.ScaledSlabParams(
         omega_tilde=args.omega, gamma_tilde=args.gamma,
         d=args.thickness, eps_s=args.eps_s,
     ))

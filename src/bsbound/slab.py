@@ -20,7 +20,6 @@ from .dielectric import (
 __all__ = [
     "ScaledSlabParams",
     "SlabResponse",
-    "DegenerateDenominatorError",
     "transmission",
     "reflection",
     "working_index",
@@ -31,16 +30,8 @@ __all__ = [
 _exp = cmath.exp
 # builds evaluate's SlabResponse from the kernel's tuple in C
 _tuple_new = tuple.__new__
-# materials whose Airy factors _working_factors keeps, about 35 KB when full
+# materials whose Airy factors _working_factors keeps, about 32 KB when full
 _FACTOR_MEMO_SIZE = 64
-
-
-class DegenerateDenominatorError(ArithmeticError):
-    """Interference denominator evaluated to exactly zero.
-
-    Its exact value is nonzero, but at |n| >~ 4e16 and a small phase the
-    difference (1+n)^2 - (1-n)^2 exp(2in*phase) cancels to 0 in floating point.
-    """
 
 
 class ScaledSlabParams(
@@ -69,11 +60,11 @@ class ScaledSlabParams(
 class SlabResponse(NamedTuple):
     """Amplitudes and scalar figures at one working point.
 
-    p = 1 - |t|^2 - |r|^2 by construction; x = |t|^2 / |r|^2, infinite
-    when |r|^2 is 0.0.  Both are exact only while |t|^2 and |r|^2 are
-    resolved in floating point: an amplitude below about 1e-162 squares
-    to 0.0 and a square within about 1e-16 of 1 rounds to 1, so p can
-    read 0.0, and x inf or 0.0, at gamma > 0.
+    p = 1 - |t|^2 - |r|^2 by construction, never non-finite from evaluate;
+    x = |t|^2 / |r|^2, infinite when |r|^2 is 0.0.  Both are exact only
+    while |t|^2 and |r|^2 are resolved in floating point: an amplitude
+    below about 1e-162 squares to 0.0 and a square within about 1e-16 of
+    1 rounds to 1, so p can read 0.0, and x inf or 0.0, at gamma > 0.
     """
 
     t: complex
@@ -85,12 +76,12 @@ class SlabResponse(NamedTuple):
 def _airy_factors(n: ComplexIndex) -> tuple[complex, ...]:
     """Index-only factors of the Airy formulas in _kernel.
 
-    Returns (n, (1+n)^2, (1-n)^2, 2i*n, 4n, i*(n-1), (n-1)/(n+1), i*(n+1))
+    Returns ((1+n)^2, (1-n)^2, 2i*n, 4n, i*(n-1), (n-1)/(n+1), i*(n+1))
     with n as a complex number.
     """
     nc = n.as_complex
     return (
-        nc, (1 + nc) ** 2, (1 - nc) ** 2, 2j * nc, 4 * nc, 1j * (nc - 1),
+        (1 + nc) ** 2, (1 - nc) ** 2, 2j * nc, 4 * nc, 1j * (nc - 1),
         (nc - 1) / (nc + 1), 1j * (nc + 1),
     )
 
@@ -104,18 +95,17 @@ def _kernel(
     non-negative.  The reflection is computed from the transmission: its
     bracket carries phase (n+1)*phase_arg, the unique choice for which
     |t|^2 + |r|^2 = 1 holds exactly at kappa = 0 (verified against the
-    transfer-matrix oracle in the tests).
+    transfer-matrix oracle in the tests).  The denominator (1+n)^2 -
+    (1-n)^2 exp(2in*phase_arg) is never zero, but at |n| >~ 4e16 and a
+    small phase it cancels to 0j in floating point, and the division
+    raises ZeroDivisionError.
     """
-    nc, plus_sq, minus_sq, two_i_n, four_n, i_n_minus_1, interface, i_n_plus_1 = factors
+    plus_sq, minus_sq, two_i_n, four_n, i_n_minus_1, interface, i_n_plus_1 = factors
     if phase_arg == 0.0:
         # zero thickness transmits exactly; the formula only reaches 1 to roundoff
         t = complex(1.0, 0.0)
     else:
         den = plus_sq - minus_sq * _exp(two_i_n * phase_arg)
-        if abs(den) == 0.0:
-            raise DegenerateDenominatorError(
-                f"interference denominator vanished at n={nc}, phase={phase_arg}"
-            )
         t = four_n * _exp(i_n_minus_1 * phase_arg) / den
     r = interface * _exp(-1j * phase_arg) * (1 - t * _exp(i_n_plus_1 * phase_arg))
     t_sq = abs(t) ** 2
@@ -166,7 +156,9 @@ def evaluate(params: ScaledSlabParams) -> SlabResponse:
     formulas at vacuum phase omega_tilde * d.  The index factors of the
     last _FACTOR_MEMO_SIZE materials (eps_s, gamma_tilde, omega_tilde) are
     kept, so a thickness scan builds them once; the floats are the same
-    either way.
+    either way.  A response out of float range, any ArithmeticError or a
+    non-finite p (which a NaN or infinite t or r gives), raises ValueError;
+    so t, r and p come back finite and x not NaN (x = inf at r = 0 is a result).
 
     The record is built by tuple.__new__ straight from the kernel's
     (t, r, p, x) tuple, so it holds the same field objects as
@@ -174,7 +166,11 @@ def evaluate(params: ScaledSlabParams) -> SlabResponse:
     a measurable share of the per-call cost (BENCH_19.json).
     """
     omega_tilde, gamma_tilde, d, eps_s = params
-    return _tuple_new(
-        SlabResponse,
-        _kernel(_working_factors(eps_s, gamma_tilde, omega_tilde), omega_tilde * d),
-    )
+    try:
+        out = _kernel(_working_factors(eps_s, gamma_tilde, omega_tilde), omega_tilde * d)
+    except ArithmeticError as exc:
+        raise ValueError(f"slab response out of float range at {params}: {exc}") from None
+    resp = _tuple_new(SlabResponse, out)
+    if not math.isfinite(out[2]):
+        raise ValueError(f"slab response out of float range at {params}: {resp}")
+    return resp

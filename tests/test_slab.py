@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsbound import slab
 from bsbound.dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refractive_index
@@ -161,14 +161,19 @@ class TestKernel:
 
 
 def outcome(call):
-    """Field reprs of call(), or the exception type it raised.
+    """Field reprs of call(), or ValueError for the ways evaluate raises it.
 
     Equal repr lists mean equal bits, signed zeros and NaNs included.
+    evaluate turns an ArithmeticError and a non-finite p into ValueError,
+    so for the raw chain they count as ValueError too.
     """
     try:
-        return [repr(v) for v in call()]
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc)
+        fields = call()
+    except (ArithmeticError, ValueError):
+        return ValueError
+    if not math.isfinite(fields[2]):
+        return ValueError
+    return [repr(v) for v in fields]
 
 
 class TestFactorMemo:
@@ -266,6 +271,17 @@ class TestEvaluate:
         resp = evaluate(ScaledSlabParams(omega_tilde=1e-3, gamma_tilde=1e-3, d=d, eps_s=6.2))
         assert 0.85 < resp.p / 1e-6 < 0.95
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="[exact-p]: 1 - |t|^2 - |r|^2 cancels; reads -4.4e-16 for 8.97e-17",
+    )
+    def test_unresolved_p_matches_the_oracle(self):
+        # bsbound eval --eps-s 6.2 --gamma 1e-10 --omega 1e-6 --thickness 5e5
+        # prints p = -4.44e-16 and exits 0, though gamma > 0
+        exact = slab_p_highprec(6.2, 1e-10, 1e-6, 5e5)
+        p = evaluate(ScaledSlabParams(1e-6, 1e-10, 5e5, 6.2)).p
+        assert abs(p - exact) <= 1e-12 * exact
+
     def test_small_p_scaling_limit(self):
         # fixed eps_s and optical phase: p/(gamma*omega) settles as both shrink
         eps_s, phi = 6.2, 1.25
@@ -284,6 +300,58 @@ RECORD_POINTS = {
     "zero-thickness": ScaledSlabParams(0.3, 0.1, 0.0, 6.2),
     "lossless-hook": ScaledSlabParams(1e-3, 0.0, 7.0, 6.2),
 }
+
+
+# the three eval points of test_cli's test_extreme_working_point_exit_2
+OUT_OF_RANGE_POINTS = {
+    "denominator-cancels": ScaledSlabParams(1e-3, 1e-3, 1e-60, 1e80),
+    "abs2-overflows": ScaledSlabParams(1e-100, 0.0, 1e-150, 1e60),
+    "phase-overflows": ScaledSlabParams(1e200, 1e-3, 1e200, 6.2),
+}
+# 10**e for e uniform in [-300, 300]
+log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestFloatRange:
+    """evaluate alone decides when a response is out of float range."""
+
+    @pytest.mark.parametrize("params", OUT_OF_RANGE_POINTS.values(), ids=OUT_OF_RANGE_POINTS)
+    def test_evaluate_raises_value_error(self, params):
+        with pytest.raises(ValueError) as info:
+            evaluate(params)
+        assert str(info.value).startswith(
+            "slab response out of float range at ScaledSlabParams("
+        )
+
+    def test_cancelling_denominator_divides_by_zero(self):
+        # (1+n)^2 - (1-n)^2 exp(2in*phase) rounds to exactly 0j at |n| ~ 1e40
+        n, phase = ComplexIndex(1.0000005e40, 5e33), 1e-63
+        with pytest.raises(ZeroDivisionError):
+            _kernel(_airy_factors(n), phase)
+        with pytest.raises(ZeroDivisionError):
+            transmission(n, phase)
+        with pytest.raises(ZeroDivisionError):
+            reflection(n, phase)
+
+    @given(
+        omega=log_uniform,
+        gamma=st.one_of(st.just(0.0), log_uniform),
+        d=st.one_of(st.just(0.0), log_uniform),
+        eps_s=st.one_of(
+            st.floats(1.0, 2.0, exclude_min=True), log_uniform.filter(lambda v: v > 1)
+        ),
+    )
+    @example(*OUT_OF_RANGE_POINTS["denominator-cancels"])
+    @example(*OUT_OF_RANGE_POINTS["abs2-overflows"])
+    @example(*OUT_OF_RANGE_POINTS["phase-overflows"])
+    @settings(max_examples=500, deadline=None)
+    def test_every_returned_response_is_finite(self, omega, gamma, d, eps_s):
+        try:
+            resp = evaluate(ScaledSlabParams(omega, gamma, d, eps_s))
+        except ValueError:
+            return  # out of float range here, or an index the dielectric rejects
+        assert cmath.isfinite(resp.t) and cmath.isfinite(resp.r)
+        assert math.isfinite(resp.p) and not math.isnan(resp.x)
 
 
 class TestResponseRecord:
