@@ -80,19 +80,18 @@ def solver_reprs() -> str:
 
 
 def scan_valleys() -> str:
-    """Source of bsbound._scan_valleys, every row searched by _phase_search.
+    """Source of bsbound._scan_valleys, every row _new_valley(...)[3:].
 
     One tuple per level of DEFAULT_LEVELS, one row per slice of
     _scan_grid(EPS_S_MAX); the rows never come from the shipped table.
     """
     from bsbound import optimizer as opt
-    from bsbound.slab import _airy_factors, working_index
 
     grid = opt._scan_grid(opt.EPS_S_MAX)
     lines = [
         '"""Valleys of the eps_s scan slices of the default alpha ladder.',
         "",
-        "Generated by scripts/make_goldens.py with optimizer._phase_search; do",
+        "Generated by scripts/make_goldens.py with optimizer._new_valley; do",
         "not edit.  VALLEYS[level][k] is the (phi_valley, ln_x_valley,",
         "evaluations, ln_x_lo, ln_x_hi) of the slice at (_scan_grid(EPS_S_MAX)[k],",
         "*DEFAULT_LEVELS[level]).  The rows depend on slab.working_index,",
@@ -118,8 +117,7 @@ def scan_valleys() -> str:
     for gamma_tilde, omega_tilde in opt.DEFAULT_LEVELS:
         lines.append("    (")
         for eps_s in grid:
-            factors = _airy_factors(working_index(eps_s, gamma_tilde, omega_tilde))
-            row = opt._phase_search(factors, math.sqrt(eps_s))
+            row = opt._new_valley(eps_s, gamma_tilde, omega_tilde)[3:]
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"non-finite valley {row} at eps_s={eps_s!r}")
             lines.append(f"        ({', '.join(map(repr, row))}),")

@@ -137,7 +137,15 @@ def susceptibility(model: DrudeLorentzModel, omega: float) -> complex:
     if omega < 0:
         raise ValueError(f"omega must be non-negative, got {omega}")
     try:
-        return _chi(((r.omega_t**2, r.omega_p**2, r.gamma) for r in model.resonances), omega)
+        chi = _chi(((r.omega_t**2, r.omega_p**2, r.gamma) for r in model.resonances), omega)
+        if chi != chi:
+            # omega^2 or gamma*omega overflowed although the terms are tiny:
+            # divide each through by omega first
+            chi = sum(
+                (r.omega_p**2 / omega) / complex(r.omega_t**2 / omega - omega, -r.gamma)
+                for r in model.resonances
+            )
+        return chi
     except ZeroDivisionError:
         # reachable only with the gamma = 0 hook exactly on resonance
         raise ValueError(f"susceptibility pole at omega = {omega} for gamma = 0") from None

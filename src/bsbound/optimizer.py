@@ -17,9 +17,9 @@ in both, a root that misses MinimizeConfig.constraint_rtol raises
 RuntimeError.
 
 The valley of a slice and ln x at both ends of the period depend on
-(eps_s, gamma_tilde, omega_tilde) but not on the target ratio.  Those of
-the 2 x 256 scan slices of DEFAULT_LEVELS ship precomputed in
-_scan_valleys (written by scripts/make_goldens.py) and load on the first
+(eps_s, gamma_tilde, omega_tilde) but not on the target ratio; one
+search, _new_valley, finds them.  Its rows for the 2 x 256 scan slices
+of DEFAULT_LEVELS ship in _scan_valleys and load on the first
 lookup at a default level; the last slice of each level is then searched
 again and compared field by field, and any difference leaves the table
 empty.  A table slice keeps the valley built from its row, so every ratio
@@ -43,7 +43,7 @@ from collections import namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .dielectric import _Checked
-from .slab import _airy_factors, _kernel, working_index
+from .slab import ScaledSlabParams, _airy_factors, _kernel, working_index
 # unused here, but bench/tracer.py patches these names in this module
 from .slab import reflection, transmission  # noqa: F401
 
@@ -326,14 +326,15 @@ _NO_ROOT = _Root(math.nan, math.nan, "none", math.nan, math.nan, math.nan)
 
 
 class _Valley(NamedTuple):
-    """The ratio-independent part of an eps_s slice solve.
+    """The ratio-independent part of an eps_s slice solve, built by _new_valley.
 
     eta0 = sqrt(eps_s), eta is the working index's real part, factors are
     its _airy_factors, and the valley of ln x(phi) in the first period
     sits at phi_valley with value ln_x_valley; the search took
     evaluations slab evaluations.  ln_x_lo and ln_x_hi are ln x at the
     period's ends _PHI_LO and _PHI_HI, where the root brackets start; a
-    solve counts each end it uses as one more evaluation.
+    solve counts each end it uses as one more evaluation.  The shipped
+    table holds the fields from phi_valley on.
     """
 
     eta0: float
@@ -346,45 +347,38 @@ class _Valley(NamedTuple):
     ln_x_hi: float
 
 
-def _phase_search(
-    factors: tuple[complex, ...], eta0: float
-) -> tuple[float, float, int, float, float]:
-    """Golden-section valley of ln x(phi) over the first period of one slice.
-
-    Returns (phi_valley, ln_x_valley, evaluations, ln_x_lo, ln_x_hi), the
-    ratio-independent fields of _Valley, from the slice's Airy factors and
-    eta0 = sqrt(eps_s).
-    """
-
-    def ln_ratio(phi: float) -> float:
-        return math.log(_kernel(factors, phi / eta0)[3])
-
-    phi_valley, ln_x_valley, iters = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
-    return phi_valley, ln_x_valley, iters + 2, ln_ratio(_PHI_LO), ln_ratio(_PHI_HI)
-
-
 def _new_valley(
-    eps_s: float, gamma_tilde: float, omega_tilde: float, phases: Optional[tuple] = None
+    eps_s: float, gamma_tilde: float, omega_tilde: float, row: Optional[tuple] = None
 ) -> _Valley:
-    """_Valley of one slice, from a _phase_search row or, without one, a search."""
+    """_Valley of one slice, from its shipped row or, without one, a search.
+
+    This is the one valley search: golden section of ln x(phi) over the
+    first period, then ln x at both ends.  The shipped table holds its row,
+    _new_valley(...)[3:].
+    """
     eta0 = math.sqrt(eps_s)
     # looked up at call time, so a patched working_index sees every call
     index = working_index(eps_s, gamma_tilde, omega_tilde)
     factors = _airy_factors(index)
-    if phases is None:
-        phases = _phase_search(factors, eta0)
-    return _Valley(eta0, index.eta, factors, *phases)
+    if row is None:
+
+        def ln_ratio(phi: float) -> float:
+            return math.log(_kernel(factors, phi / eta0)[3])
+
+        phi_valley, ln_x_valley, iters = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
+        row = (phi_valley, ln_x_valley, iters + 2, ln_ratio(_PHI_LO), ln_ratio(_PHI_HI))
+    return _Valley(eta0, index.eta, factors, *row)
 
 
 @functools.cache
 def _scan_table() -> dict[tuple[float, float, float], tuple]:
     """The shipped scan valleys, keyed by slice as this process computes it.
 
-    Maps every scan slice of DEFAULT_LEVELS to its _phase_search row, which
-    _slice_valley replaces by the slice's _Valley on first use.  The last
-    slice of each level is searched here and compared field by field; any
-    difference (another libm, a changed constant) leaves the table empty,
-    so every valley is the one a search gives.
+    Maps every scan slice of DEFAULT_LEVELS to its row, _new_valley(...)[3:],
+    which _slice_valley replaces by the slice's _Valley on first use.  The
+    last slice of each level is searched here and compared field by field;
+    any difference (another libm, a changed constant) leaves the table
+    empty, so every valley is the one a search gives.
     """
     from ._scan_valleys import VALLEYS
 
@@ -494,22 +488,14 @@ def solve_thickness_for_ratio(
     Infeasibility (the slab cannot reflect strongly enough at this eps_s)
     is a domain answer, reported as None.  A root whose ratio misses
     x_target by more than MinimizeConfig.constraint_rtol raises
-    RuntimeError, as in minimize_absorption.
+    RuntimeError, as in minimize_absorption.  eps_s, gamma_tilde and
+    omega_tilde are checked by ScaledSlabParams (at d = 0).
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    if not all(map(math.isfinite, (eps_s, x_target, gamma_tilde, omega_tilde))):
-        raise ValueError(
-            f"inputs must be finite, got eps_s={eps_s}, x_target={x_target}, "
-            f"gamma_tilde={gamma_tilde}, omega_tilde={omega_tilde}"
-        )
-    if not eps_s > 1:
-        raise ValueError(f"eps_s must exceed 1, got {eps_s}")
-    if not x_target > 0:
-        raise ValueError(f"x_target must be positive, got {x_target}")
-    if not omega_tilde > 0:
-        # the thickness is the phase divided by omega_tilde
-        raise ValueError(f"omega_tilde must be positive, got {omega_tilde}")
+    ScaledSlabParams(omega_tilde, gamma_tilde, 0.0, eps_s)
+    if not 0 < x_target < math.inf:
+        raise ValueError(f"x_target must be positive and finite, got {x_target}")
     roots, _ = _solve_slice(eps_s, gamma_tilde, omega_tilde, x_target, (branch,))
     return roots[0].d if roots else None
 

@@ -224,17 +224,20 @@ def brute_force_min_p(
 
 # --- closed-form leading-order alpha ------------------------------------------
 
-def alpha0(eps: float, x: float) -> float:
-    """Leading-order p / (gamma*omega) on the first branch, lossless field.
+def alpha0(eps: float, x: float, branch: str = "first") -> float:
+    """Leading-order p / (gamma*omega) on one branch, lossless field.
 
     (eps-1) x/(1+x)/sqrt(eps) [phi (1+1/eps)/2 + sin(2 phi) (1-1/eps)/4]
-    with sin^2 phi = 4 eps / (x (eps-1)^2) and phi in (0, pi/2]: the
-    lossless Airy field at ratio x, absorbing with the low-frequency
+    with sin^2 phi = 4 eps / (x (eps-1)^2) and phi in (0, pi/2] on the
+    first branch, pi - that phi on the second: the lossless Airy field at
+    ratio x, absorbing with the low-frequency
     kappa = gamma*omega*(eps-1)/(2*sqrt(eps)).
     """
     sin_sq = 4.0 * eps / (x * (eps - 1.0) ** 2)
     # at the boundary eps_b rounding can put sin_sq a hair above 1
     phi = math.asin(math.sqrt(min(sin_sq, 1.0)))
+    if branch == "second":
+        phi = math.pi - phi
     bracket = phi * (1.0 + 1.0 / eps) / 2.0 + math.sin(2.0 * phi) * (1.0 - 1.0 / eps) / 4.0
     return (eps - 1.0) * x / (1.0 + x) / math.sqrt(eps) * bracket
 

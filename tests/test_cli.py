@@ -61,6 +61,14 @@ class TestEval:
         assert rec["r_abs2"] == 0.0
         assert rec["x"] == math.inf
 
+    def test_overflowing_square_is_the_no_slab_identity(self, run_cli):
+        # omega^2 overflows in the susceptibility, whose exact value is ~1e-310
+        res = run_cli("eval", "--eps-s", "2", "--gamma", "1e154", "--omega", "1e155",
+                      "--thickness", "0")
+        assert res.returncode == 0
+        rec = parse_csv_record(res.stdout)
+        assert (rec["t_re"], rec["r_abs2"], rec["x"]) == (1.0, 0.0, math.inf)
+
     def test_optimum_thickness_coefficient(self, run_cli):
         d_star = solve_thickness_for_ratio(6.2, 1.0, 1e-3, 1e-3, branch="first")
         res = run_cli("eval", "--eps-s", "6.2", "--gamma", "1e-3", "--omega", "1e-3",

@@ -70,6 +70,16 @@ class TestSusceptibility:
             here = susceptibility(model, omega)
             assert abs(here - exact) <= 1e-13 * abs(exact)
 
+    @pytest.mark.parametrize("omega, gamma", [
+        (1e155, 1e154), (1e160, 1e154), (1e200, 1e154), (1e300, 1e100),
+    ])
+    def test_overflowing_square_keeps_the_tiny_sum(self, omega, gamma):
+        # omega^2 or gamma*omega overflows although chi is tiny, subnormal
+        # or zero: at omega = 1e155 it is -9.9e-311 + 9.9e-312j
+        here = susceptibility(DrudeLorentzModel([Resonance(1.0, 1.0, gamma)]), omega)
+        exact = susceptibility_highprec([(1.0, 1.0, gamma)], omega)
+        assert abs(here - exact) <= 1e-12 * abs(exact)
+
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
             susceptibility(MODEL, -0.1)

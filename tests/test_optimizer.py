@@ -18,7 +18,7 @@ from bsbound.optimizer import (
 )
 from bsbound.slab import ScaledSlabParams, _airy_factors, _kernel, evaluate, working_index
 from conftest import GOLDEN, make_goldens
-from oracles import alpha0_min
+from oracles import alpha0, alpha0_min
 
 INF, NAN = math.inf, math.nan
 
@@ -110,6 +110,11 @@ class TestThicknessSolve:
                 solve_thickness_for_ratio(6.2, 1.0, omega_tilde=omega_tilde)
         # gamma_tilde = 0 stays the lossless hook
         assert solve_thickness_for_ratio(6.2, 1.0, gamma_tilde=0.0) > 0
+
+    def test_working_point_checked_by_slab_params(self):
+        # the rules and messages of ScaledSlabParams, not of Resonance
+        with pytest.raises(ValueError, match="gamma_tilde must be non-negative"):
+            solve_thickness_for_ratio(6.2, 1.0, gamma_tilde=-1e-3)
 
 
 class TestMinimize:
@@ -306,6 +311,37 @@ class TestAlpha0Oracle:
         assert extract_alpha(x).alpha == pytest.approx(alpha0, rel=2e-6)
 
 
+class TestBranchDominance:
+    """The first branch wins every minimization, the fact a one-branch solver rests on."""
+
+    def test_second_branch_costs_more_at_leading_order(self):
+        # alpha0(pi - phi) - alpha0(phi) = (eps-1) x/(1+x)/sqrt(eps) * g/2 with
+        # g = (pi - 2 phi)(1 + 1/eps) - sin(2 phi)(1 - 1/eps); sin(2 phi) <= pi - 2 phi
+        # gives g >= 2 (pi - 2 phi)/eps > 0 for phi in (0, pi/2)
+        for eps in 1.0 + np.geomspace(EPS_S_MIN - 1.0, EPS_S_MAX - 1.0, 25):
+            for phi in np.linspace(1e-3, math.pi / 2 - 1e-2, 40):
+                x = 4.0 * eps / (math.sin(phi) ** 2 * (eps - 1.0) ** 2)
+                g = (math.pi - 2 * phi) * (1 + 1 / eps) - math.sin(2 * phi) * (1 - 1 / eps)
+                assert g >= 2 * (math.pi - 2 * phi) / eps * (1 - 1e-12) > 0
+                gap = alpha0(eps, x, "second") - alpha0(eps, x)
+                scale = (eps - 1.0) * x / (1.0 + x) / math.sqrt(eps)
+                assert gap > 0
+                assert gap == pytest.approx(scale * g / 2, rel=1e-6)
+
+    @pytest.mark.parametrize("gamma_tilde, omega_tilde", [
+        (1e-3, 1e-3), (7.4e-4, 1.63e-2), (0.1, 0.1),
+    ])
+    def test_minimize_picks_the_first_branch_beyond_the_tie_rule(
+        self, gamma_tilde, omega_tilde
+    ):
+        for x in (4.1e-3, 0.05, 1.0, 30.0, 1e3, 1e5):
+            res = minimize_absorption(MinimizeConfig(x, gamma_tilde, omega_tilde))
+            assert res.branch == "first"
+            # a NaN margin, no second root, fails too
+            margin = (res.diagnostics.rejected_branch_p - res.p_min) / res.p_min
+            assert margin > optimizer._OBJECTIVE_RTOL
+
+
 class TestSweep:
     def test_grid_shape(self):
         rows = sweep([0.05, 0.2, 1.0, 5.0, 20.0])
@@ -393,9 +429,8 @@ SCAN_GRID = optimizer._scan_grid(optimizer.EPS_S_MAX)
 
 
 def search_slice(eps_s, gamma_tilde, omega_tilde):
-    """_phase_search of one slice, without the shipped table."""
-    factors = _airy_factors(working_index(eps_s, gamma_tilde, omega_tilde))
-    return optimizer._phase_search(factors, math.sqrt(eps_s))
+    """The valley search's row of one slice, without the shipped table."""
+    return optimizer._new_valley(eps_s, gamma_tilde, omega_tilde)[3:]
 
 
 class TestValleyStore:
@@ -592,6 +627,7 @@ class TestScanValleyTable:
     lambda: solve_thickness_for_ratio(6.2, 1.0, omega_tilde=INF),
     lambda: sweep([NAN]),
     lambda: sweep([1.0, INF]),
+    lambda: solve_thickness_for_ratio(6.2, INF),
 ])
 def test_non_finite_inputs_rejected(call):
     with pytest.raises(ValueError, match="finite"):
