@@ -80,7 +80,7 @@ def solver_reprs() -> str:
 
 
 def scan_valleys() -> str:
-    """Source of bsbound._scan_valleys, every row _new_valley(...)[3:].
+    """Source of bsbound._scan_valleys, every row _new_valley(...).row.
 
     One tuple per level of DEFAULT_LEVELS, one row per slice of
     _scan_grid(EPS_S_MAX); the rows never come from the shipped table.
@@ -92,8 +92,8 @@ def scan_valleys() -> str:
         '"""Valleys of the eps_s scan slices of the default alpha ladder.',
         "",
         "Generated by scripts/make_goldens.py with optimizer._new_valley; do",
-        "not edit.  VALLEYS[level][k] is the (phi_valley, ln_x_valley,",
-        "evaluations, ln_x_lo, ln_x_hi) of the slice at (_scan_grid(EPS_S_MAX)[k],",
+        "not edit.  VALLEYS[level][k] is the _Valley.row, (phi_valley,",
+        "ln_x_valley, ln_x_lo, ln_x_hi), of the slice at (_scan_grid(EPS_S_MAX)[k],",
         "*DEFAULT_LEVELS[level]).  The rows depend on slab.working_index,",
         "slab._airy_factors, slab._kernel, the golden search and these",
         "constants of bsbound.optimizer:",
@@ -109,7 +109,8 @@ def scan_valleys() -> str:
         "",
         "The optimizer loads the table on its first lookup at a default level.",
         "It then searches the last row of each level (eps_s at the top of the scan",
-        "grid) again, and leaves the table empty if any field differs.",
+        "grid) again, and leaves the table empty if any field differs.  A valley",
+        "built from a row costs no slab evaluation.",
         '"""',
         "",
         "VALLEYS = (",
@@ -117,7 +118,7 @@ def scan_valleys() -> str:
     for gamma_tilde, omega_tilde in opt.DEFAULT_LEVELS:
         lines.append("    (")
         for eps_s in grid:
-            row = opt._new_valley(eps_s, gamma_tilde, omega_tilde)[3:]
+            row = opt._new_valley(eps_s, gamma_tilde, omega_tilde).row
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"non-finite valley {row} at eps_s={eps_s!r}")
             lines.append(f"        ({', '.join(map(repr, row))}),")

@@ -5,11 +5,11 @@ the record alone.  Floats are printed with Python's shortest round-trip
 representation; CSV uses a frozen column order and JSON lines use the
 same keys, with a non-finite float written as the string CSV prints for
 it ("nan", "inf", "-inf").  Exit codes: 0 success, 2 usage or validation
-error or a failed solve, 3 infeasible constraint.  Every command raises
-ValueError for an exit 2, and `main` alone reports it as one `error:`
-line; the optimizer's RuntimeError (a root that misses the ratio
-tolerance) is turned into one at the two optimizer calls, and `eval`'s
-response out of float range is slab.evaluate's own ValueError.
+error or a failed solve, 3 infeasible constraint.  `main` alone turns
+an exception into an exit 2 with one `error:` line: a ValueError, which
+every command raises for bad input (`eval`'s response out of float range
+is slab.evaluate's own), and the optimizer's RuntimeError, a root that
+misses the ratio tolerance.
 """
 
 from __future__ import annotations
@@ -67,21 +67,13 @@ def _cannot_write(out: str, exc: OSError) -> str:
     return f"cannot write --out {out!r}: {exc.strerror or exc}"
 
 
-def _solve_failed(exc: RuntimeError) -> ValueError:
-    return ValueError(f"the constrained solve failed: {exc}")
-
-
 def _extract(x: float, levels: Sequence, eps_s_max: float) -> optimizer.AlphaExtraction:
     """extract_alpha over `levels`, as the CLI reports it.
 
-    A failed solve raises ValueError, as extract_alpha does for a level
-    whose p_min is not positive.  A drift that breaks the separable
-    scaling gets a warning on stderr; one level measures no drift.
+    A drift that breaks the separable scaling gets a warning on stderr;
+    one level measures no drift.
     """
-    try:
-        ex = optimizer.extract_alpha(x, levels, eps_s_max)
-    except RuntimeError as exc:
-        raise _solve_failed(exc) from None
+    ex = optimizer.extract_alpha(x, levels, eps_s_max)
     if ex.drift > optimizer._DRIFT_TOL:
         print(
             f"warning: alpha_drift = {ex.drift!r} exceeds "
@@ -169,10 +161,7 @@ def cmd_sweep(args) -> tuple[list, int]:
     if args.x_min <= 0:
         raise ValueError("--x-min must be positive")
     grid = _grid(args.x_min, args.x_max, args.points, args.log)
-    try:
-        rows = optimizer.sweep(grid, jobs=args.jobs)
-    except RuntimeError as exc:
-        raise _solve_failed(exc) from None
+    rows = optimizer.sweep(grid, jobs=args.jobs)
     records = [
         [
             ("x", row.x),
@@ -318,6 +307,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        print(f"error: the constrained solve failed: {exc}", file=sys.stderr)
         return 2
     finally:
         # a command that failed before writing leaves no new empty file

@@ -63,7 +63,8 @@ class Resonance(_Checked, namedtuple("Resonance", "omega_t omega_p gamma")):
     Frequencies are in whatever unit the caller chose; the optimization
     pipeline uses the scaled convention omega_t = 1.  A physical resonance
     has omega_p > 0 and gamma > 0; zero values are accepted as the exact
-    vacuum / lossless limits used by the test hooks.
+    vacuum / lossless limits used by the test hooks.  omega_t**2 and
+    omega_p**2, which every Drude-Lorentz sum takes, must not overflow.
     """
 
     __slots__ = ()
@@ -76,6 +77,11 @@ class Resonance(_Checked, namedtuple("Resonance", "omega_t omega_p gamma")):
             raise ValueError(f"omega_p must be non-negative, got {omega_p}")
         if gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {gamma}")
+        for name, value in (("omega_t", omega_t), ("omega_p", omega_p)):
+            try:
+                value**2  # float ** raises OverflowError where * gives inf
+            except OverflowError:
+                raise ValueError(f"{name}**2 overflows, got {name}={value}") from None
 
 
 class DrudeLorentzModel(_Checked, namedtuple("DrudeLorentzModel", "resonances")):

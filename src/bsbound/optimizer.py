@@ -28,9 +28,9 @@ searched on each call.  The store is per process (each sweep pool worker
 loads its own) and holds at most those 512 valleys.  Within a solve each
 phase is evaluated once: a root's p and x come from the evaluation brentq
 made at that phase.  Results depend on none of these: a stored valley or
-a table row gives the floats a fresh search would, and
-MinimizeDiagnostics.slab_evaluations counts shipped and reused
-evaluations as if they were made again.
+a table row gives the floats a fresh search would.
+MinimizeDiagnostics.slab_evaluations counts the _kernel calls a call
+makes, so a shipped or reused evaluation counts nothing.
 """
 
 from __future__ import annotations
@@ -151,9 +151,9 @@ class MinimizeConfig(
 class MinimizeDiagnostics(NamedTuple):
     """Work and margins of one minimization.
 
-    slab_evaluations counts every slab evaluation the result is built
-    from, those of valleys taken from the shipped table included, so it
-    does not depend on what the process solved before.
+    slab_evaluations counts the slab._kernel calls it makes: a shipped
+    valley and the table's load check count none, so the count does not
+    depend on what the process solved before.
     """
 
     constraint_residual: float
@@ -330,11 +330,10 @@ class _Valley(NamedTuple):
 
     eta0 = sqrt(eps_s), eta is the working index's real part, factors are
     its _airy_factors, and the valley of ln x(phi) in the first period
-    sits at phi_valley with value ln_x_valley; the search took
-    evaluations slab evaluations.  ln_x_lo and ln_x_hi are ln x at the
-    period's ends _PHI_LO and _PHI_HI, where the root brackets start; a
-    solve counts each end it uses as one more evaluation.  The shipped
-    table holds the fields from phi_valley on.
+    sits at phi_valley with value ln_x_valley.  ln_x_lo and ln_x_hi are
+    ln x at the period's ends _PHI_LO and _PHI_HI, where the root brackets
+    start.  evaluations is the _kernel calls made to build it: none from a
+    shipped row, the golden search's and the two ends' from a search.
     """
 
     eta0: float
@@ -342,9 +341,14 @@ class _Valley(NamedTuple):
     factors: tuple[complex, ...]
     phi_valley: float
     ln_x_valley: float
-    evaluations: int
     ln_x_lo: float
     ln_x_hi: float
+    evaluations: int
+
+    @property
+    def row(self) -> tuple[float, float, float, float]:
+        """The slice's row of the shipped table."""
+        return self.phi_valley, self.ln_x_valley, self.ln_x_lo, self.ln_x_hi
 
 
 def _new_valley(
@@ -353,43 +357,42 @@ def _new_valley(
     """_Valley of one slice, from its shipped row or, without one, a search.
 
     This is the one valley search: golden section of ln x(phi) over the
-    first period, then ln x at both ends.  The shipped table holds its row,
-    _new_valley(...)[3:].
+    first period, then ln x at both ends.  The shipped table holds its
+    _Valley.row.
     """
     eta0 = math.sqrt(eps_s)
     # looked up at call time, so a patched working_index sees every call
     index = working_index(eps_s, gamma_tilde, omega_tilde)
     factors = _airy_factors(index)
-    if row is None:
+    if row is not None:
+        return _Valley(eta0, index.eta, factors, *row, 0)
 
-        def ln_ratio(phi: float) -> float:
-            return math.log(_kernel(factors, phi / eta0)[3])
+    def ln_ratio(phi: float) -> float:
+        return math.log(_kernel(factors, phi / eta0)[3])
 
-        phi_valley, ln_x_valley, iters = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
-        row = (phi_valley, ln_x_valley, iters + 2, ln_ratio(_PHI_LO), ln_ratio(_PHI_HI))
-    return _Valley(eta0, index.eta, factors, *row)
+    phi_valley, ln_x_valley, iters = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
+    ends = ln_ratio(_PHI_LO), ln_ratio(_PHI_HI)
+    return _Valley(eta0, index.eta, factors, phi_valley, ln_x_valley, *ends, iters + 4)
 
 
 @functools.cache
 def _scan_table() -> dict[tuple[float, float, float], tuple]:
     """The shipped scan valleys, keyed by slice as this process computes it.
 
-    Maps every scan slice of DEFAULT_LEVELS to its row, _new_valley(...)[3:],
-    which _slice_valley replaces by the slice's _Valley on first use.  The
-    last slice of each level is searched here and compared field by field;
-    any difference (another libm, a changed constant) leaves the table
-    empty, so every valley is the one a search gives.
+    Maps every scan slice of DEFAULT_LEVELS to its _Valley.row, which
+    _slice_valley replaces by the slice's _Valley on first use.  The last
+    slice of each level is searched here (for no call's slab_evaluations)
+    and compared field by field; any difference (another libm, a changed
+    constant) leaves the table empty, so every valley is a search's.
     """
     from ._scan_valleys import VALLEYS
 
     grid = _scan_grid(EPS_S_MAX)
     table = {}
     for level, rows in zip(DEFAULT_LEVELS, VALLEYS):
-        table.update(((eps_s, *level), row) for eps_s, row in zip(grid, rows))
-        checked = _new_valley(grid[-1], *level)
-        if checked[3:] != rows[-1]:
+        if _new_valley(grid[-1], *level).row != rows[-1]:
             return {}
-        table[(grid[-1], *level)] = checked
+        table.update(((eps_s, *level), row) for eps_s, row in zip(grid, rows))
     return table
 
 
@@ -418,15 +421,15 @@ def _solve_slice(
 ) -> tuple[list[_Root], int]:
     """Roots of x(phi) = x_target in the first period of one eps_s slice.
 
-    Returns the roots of `branches`, in that order, and the number of slab
-    evaluations they are built from: the valley search's, the bracket
-    end's and the root's, shipped or reused ones included.  The list is
+    Returns the roots of `branches`, in that order, and the number of
+    _kernel calls made: the valley search's if the slice was searched,
+    brentq's, and one for each root at a bracket end.  The list is
     empty when the slice cannot reach the target ratio (the valley of
     x(phi) stays above x_target), and leaves out a branch whose reachable
     range stays below it.  A root whose ratio misses x_target by more
     than MinimizeConfig.constraint_rtol raises RuntimeError.
     """
-    eta0, eta, factors, phi_valley, ln_x_valley, evals, ln_x_lo, ln_x_hi = (
+    eta0, eta, factors, phi_valley, ln_x_valley, ln_x_lo, ln_x_hi, evals = (
         _slice_valley(eps_s, gamma_tilde, omega_tilde)
     )
     ln_xt = math.log(x_target)
@@ -452,14 +455,13 @@ def _solve_slice(
             a, ha, b, hb = _PHI_LO, ln_x_lo - ln_xt, phi_valley, h_valley
         else:
             a, ha, b, hb = phi_valley, h_valley, _PHI_HI, ln_x_hi - ln_xt
-        evals += 1  # the end value, found with the valley
         if ha * hb > 0.0:
             continue  # target above this branch's reachable range
         phi = brentq(h, a, b, ha, hb)
-        evals += 1  # the root's p and x, reused from h where it ran
         k = kept.get(phi)
         if k is None:
             # a bracket end, where brentq did not call h
+            evals += 1
             k = _kernel(factors, phi / eta0)
         _, _, p, x = k
         residual = abs(x - x_target) / x_target

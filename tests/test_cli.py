@@ -338,8 +338,8 @@ class TestBound:
 class TestSolveFailure:
     """A phase root that misses the 1e-10 ratio tolerance is an error line, exit 2.
 
-    The library raises RuntimeError there; the CLI catches it only at its
-    optimizer calls [contract].
+    The library raises RuntimeError there; `main` turns it into the error
+    line, as it does a ValueError [contract].
     """
 
     @pytest.mark.parametrize("args", [

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +240,20 @@ class TestSumRule:
             superconvergence_residual(MODEL, omega_max)
 
 
+# every public function that squares omega_t and omega_p
+FIVE_CALLS = [
+    lambda model: susceptibility(model, 0.0),
+    lambda model: refractive_index(model, 0.5),
+    DrudeLorentzModel.static_permittivity,
+    lambda model: low_frequency_approx(model, 1e-3),
+    lambda model: superconvergence_residual(model, 10.0),
+]
+FIVE_IDS = ["susceptibility", "refractive_index", "static_permittivity",
+            "low_frequency_approx", "superconvergence_residual"]
+# the largest float whose ** 2 is finite
+SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
 class TestValidation:
     def test_resonance_requires_positive_omega_t(self):
         with pytest.raises(ValueError):
@@ -251,6 +266,28 @@ class TestValidation:
     def test_resonance_rejects_negative_width(self):
         with pytest.raises(ValueError):
             Resonance(omega_t=1.0, omega_p=1.0, gamma=-0.1)
+
+    @pytest.mark.parametrize("call", FIVE_CALLS, ids=FIVE_IDS)
+    @pytest.mark.parametrize("fields, name", [
+        ((1e200, 1e200, 0.1), "omega_t"),
+        ((1.0, 1e200, 0.1), "omega_p"),
+        ((math.nextafter(SQRT_MAX, math.inf), 1.0, 0.1), "omega_t"),
+    ])
+    def test_overflowing_square_rejected(self, call, fields, name):
+        # float ** raises OverflowError here; the model's rule names the field
+        with pytest.raises(ValueError, match=rf"^{name}\*\*2 overflows, got {name}="):
+            call(DrudeLorentzModel([Resonance(*fields)]))
+
+    @pytest.mark.parametrize("call", FIVE_CALLS, ids=FIVE_IDS)
+    @pytest.mark.parametrize("fields", [
+        (SQRT_MAX, SQRT_MAX, 0.1), (1.0, SQRT_MAX, 0.1), (SQRT_MAX, 1.0, 0.1),
+    ])
+    def test_largest_accepted_fields_overflow_nowhere(self, call, fields):
+        # any OverflowError would escape; these are the documented errors
+        try:
+            call(DrudeLorentzModel([Resonance(*fields)]))
+        except (ValueError, QuadratureError):
+            pass
 
     def test_model_requires_resonances(self):
         with pytest.raises(ValueError):
