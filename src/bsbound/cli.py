@@ -70,10 +70,12 @@ def _cannot_write(out: str, exc: OSError) -> str:
 def _extract(x: float, levels: Sequence, eps_s_max: float) -> optimizer.AlphaExtraction:
     """extract_alpha over `levels`, as the CLI reports it.
 
-    A drift that breaks the separable scaling gets a warning on stderr;
-    one level measures no drift.
+    The levels are solved in up to one process per CPU, which changes no
+    output byte (optimizer._fork_map).  A drift that breaks the separable
+    scaling gets a warning on stderr; one level measures no drift.
     """
-    ex = optimizer.extract_alpha(x, levels, eps_s_max)
+    workers = min(len(levels), os.cpu_count() or 1)
+    ex = optimizer._extract_alpha(x, levels, eps_s_max, workers)
     if ex.drift > optimizer._DRIFT_TOL:
         print(
             f"warning: alpha_drift = {ex.drift!r} exceeds "

@@ -99,8 +99,23 @@ class DrudeLorentzModel(_Checked, namedtuple("DrudeLorentzModel", "resonances"))
         return tuple.__new__(cls, (resonances,))
 
     def static_permittivity(self) -> float:
-        """1 + chi(0), always real and > 1 for a physical model."""
+        """1 + chi(0), always real and > 1 for a physical model.
+
+        Raises ValueError if some omega_t**2 underflows to zero.
+        """
+        _reject_underflow(self)
         return 1.0 + sum(r.omega_p**2 / r.omega_t**2 for r in self.resonances)
+
+
+def _reject_underflow(model: DrudeLorentzModel) -> None:
+    """Raise ValueError if a resonance's omega_t**2 underflows to zero.
+
+    Such a resonance is accepted: chi away from omega = 0 needs no division
+    by omega_t**2 alone.  The static sum divides by it.
+    """
+    for r in model.resonances:
+        if r.omega_t**2 == 0.0:
+            raise ValueError(f"omega_t**2 underflows to zero, got omega_t={r.omega_t}")
 
 
 class ComplexIndex(_Checked, namedtuple("ComplexIndex", "eta kappa")):
@@ -153,7 +168,10 @@ def susceptibility(model: DrudeLorentzModel, omega: float) -> complex:
             )
         return chi
     except ZeroDivisionError:
-        # reachable only with the gamma = 0 hook exactly on resonance
+        # a zero denominator: omega_t**2 underflowed and so did omega**2 and
+        # gamma*omega (omega = 0 among others), or the gamma = 0 hook sits
+        # exactly on resonance
+        _reject_underflow(model)
         raise ValueError(f"susceptibility pole at omega = {omega} for gamma = 0") from None
 
 

@@ -24,18 +24,23 @@ lookup at a default level; the last slice of each level is then searched
 again and compared field by field, and any difference leaves the table
 empty.  A table slice keeps the valley built from its row, so every ratio
 solved at the default working point reuses it; every other slice is
-searched on each call.  The store is per process (each sweep pool worker
-loads its own) and holds at most those 512 valleys.  Within a solve each
-phase is evaluated once: a root's p and x come from the evaluation brentq
-made at that phase.  Results depend on none of these: a stored valley or
-a table row gives the floats a fresh search would.
+searched on each call.  The store is per process and holds at most those
+512 valleys; a process forked by _fork_map inherits its parent's, loaded
+before the fork.  Within a solve each phase is evaluated once: a root's p
+and x come from the evaluation brentq made at that phase.  Results depend
+on none of these: a stored valley or a table row gives the floats a fresh
+search would.
 MinimizeDiagnostics.slab_evaluations counts the _kernel calls a call
 makes, so a shipped or reused evaluation counts nothing.
+
+sweep(jobs > 1) and the CLI's ladder solve their minimizations in forked
+processes by _fork_map; the library's defaults fork nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import marshal
 import math
 import os
 import sys
@@ -605,6 +610,135 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     )
 
 
+def _single_threaded() -> bool:
+    """True if this process runs no thread but its main one.
+
+    A forked child holds only the forking thread, so a lock another thread
+    held stays locked in it; Python 3.12 on warns at such a fork.  That
+    warning counts the threads the OS lists for the process, a BLAS
+    library's idle workers too, so /proc is read where it exists.
+    threading is consulted only if already imported: importing it would
+    cost every cold start.
+    """
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return True
+
+
+def _send(fd: int, fn: Callable, items: Sequence) -> None:
+    """Write fn(item) of each item to fd by marshal, up to the first that raises."""
+    values = []
+    for item in items:
+        try:
+            values.append(fn(item))
+        except Exception:  # noqa: BLE001 - the parent solves the item again and raises
+            break
+    data = memoryview(marshal.dumps(values))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(fd: int) -> list:
+    """The values _send wrote to fd; none if the writer died before it finished."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        return marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError):
+        return []
+
+
+def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(item) for item in items], in up to `workers` processes at once.
+
+    The calling process is worker 0 and solves items[0::workers]; each of
+    the workers - 1 children forked from it solves items[k::workers] and
+    sends its values back by marshal, so fn must return what marshal
+    writes.  The values are then taken in item order from whichever
+    process solved them.  A row that raised in a child, or that a child
+    never delivered (it died, or the fork failed), is solved again here,
+    so every value and the first exception are the serial loop's.  Each
+    child is reaped before the map returns or raises; on an exception,
+    KeyboardInterrupt included, the children still running are killed
+    first.  Below two workers, without os.fork, or with another thread
+    running, the loop runs serially here and forks nothing.
+    """
+    workers = min(workers, len(items))
+    if workers < 2 or not hasattr(os, "fork") or not _single_threaded():
+        return [fn(item) for item in items]
+    children: list[tuple[int, int, int]] = []  # (k, pid, read end) of each live child
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                continue  # this child's rows are solved here
+            if pid == 0:
+                try:
+                    _send(w, fn, items[k::workers])
+                finally:
+                    # no parent cleanup, atexit hook or buffered output runs
+                    # twice; the parent reads the pipe, not the exit status
+                    os._exit(0)
+            os.close(w)
+            children.append((k, pid, r))
+        values: dict[int, object] = {}
+        raised: Optional[tuple[int, Exception]] = None
+        for i in range(0, len(items), workers):
+            try:
+                values[i] = fn(items[i])
+            except Exception as exc:  # noqa: BLE001 - raised below, in item order
+                raised = (i, exc)
+                break
+        while children:
+            k, pid, r = children[-1]
+            values.update(zip(range(k, len(items), workers), _receive(r)))
+            os.waitpid(pid, 0)
+            children.pop()
+            os.close(r)
+    finally:
+        if children:
+            import signal
+
+            for _, pid, r in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(r)
+    out = []
+    for i, item in enumerate(items):
+        if i in values:
+            out.append(values[i])
+        elif raised is not None and raised[0] == i:
+            raise raised[1]
+        else:
+            out.append(fn(item))
+    return out
+
+
+def _minimize_row(config: MinimizeConfig) -> tuple:
+    """minimize_absorption(config) as plain tuples, which marshal writes."""
+    res = minimize_absorption(config)
+    return (*res[:-1], tuple(res.diagnostics))
+
+
+def _minimize_all(configs: Sequence[MinimizeConfig], workers: int) -> list[MinimizeResult]:
+    """minimize_absorption of every config, in order, by _fork_map over `workers`."""
+    if workers > 1 and any(cfg[1:3] in DEFAULT_LEVELS for cfg in configs):
+        _scan_table()  # loaded before the fork, so that every child inherits it
+    return [
+        MinimizeResult(*head, MinimizeDiagnostics(*diagnostics))
+        for *head, diagnostics in _fork_map(_minimize_row, configs, workers)
+    ]
+
+
 def extract_alpha(
     x_target: float,
     levels: Sequence[tuple[float, float]] = DEFAULT_LEVELS,
@@ -615,8 +749,18 @@ def extract_alpha(
     The inter-level relative drift of alpha is the error estimate; drift
     above _DRIFT_TOL flags a departure from the separable small-parameter
     scaling.  One level measures no drift: drift is NaN and scaling_ok
-    False.
+    False.  The levels are solved one after the other, in this process.
     """
+    return _extract_alpha(x_target, levels, eps_s_max, 1)
+
+
+def _extract_alpha(
+    x_target: float,
+    levels: Sequence[tuple[float, float]],
+    eps_s_max: float,
+    workers: int,
+) -> AlphaExtraction:
+    """extract_alpha with its levels solved by _fork_map over `workers`."""
     if not levels:
         raise ValueError("need at least one refinement level")
     # every level is validated before any is solved
@@ -624,7 +768,7 @@ def extract_alpha(
         MinimizeConfig(x_target, gamma_tilde, omega_tilde, eps_s_max)
         for gamma_tilde, omega_tilde in levels
     ]
-    results = tuple(minimize_absorption(cfg) for cfg in configs)
+    results = tuple(_minimize_all(configs, workers))
     if not all(r.feasible for r in results):
         return AlphaExtraction(
             alpha=math.nan, drift=math.nan, scaling_ok=False, feasible=False,
@@ -641,14 +785,6 @@ def extract_alpha(
     )
 
 
-def _sweep_worker(config: MinimizeConfig) -> SweepRow:
-    res = minimize_absorption(config)
-    return SweepRow(
-        x=config.x_target, alpha=res.alpha, eps_s_star=res.eps_s_star,
-        d_star=res.d_star, p_min=res.p_min, feasible=res.feasible,
-    )
-
-
 def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
     """One default minimization per ratio; rows are independent and deterministic.
 
@@ -656,9 +792,10 @@ def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
     solved, so jobs < 1 or a non-finite or non-positive ratio raises
     ValueError up front.
     Per-row infeasibility is recorded in the row, never raised.  With
-    jobs > 1 rows are computed in a pool of at most jobs processes, one
-    per row and one per CPU (os.cpu_count()) at most; the output order
-    and content are identical regardless of jobs.
+    jobs > 1 rows are solved by _fork_map in at most jobs processes at
+    once, this one included, and never more than one per row or one per
+    CPU (os.cpu_count()); the output order and content, and the exception
+    of a failing row, are identical regardless of jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -666,11 +803,10 @@ def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
     if not configs:
         raise ValueError("x_values must be non-empty")
     workers = min(jobs, len(configs), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_sweep_worker, configs, chunksize=1)
-    else:
-        rows = [_sweep_worker(cfg) for cfg in configs]
-    return tuple(rows)
+    return tuple(
+        SweepRow(
+            x=cfg.x_target, alpha=res.alpha, eps_s_star=res.eps_s_star,
+            d_star=res.d_star, p_min=res.p_min, feasible=res.feasible,
+        )
+        for cfg, res in zip(configs, _minimize_all(configs, workers))
+    )

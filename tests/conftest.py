@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import os
 import subprocess
@@ -38,3 +39,24 @@ def run_cli(cli_env):
         )
 
     return run
+
+
+@pytest.fixture
+def failing_forks(monkeypatch):
+    """The os.fork calls of the fork map; each fails, so no process starts.
+
+    A failed fork leaves its items to the parent.  The map forks only in a
+    process without other threads, and numpy's BLAS workers run in the
+    test process, so that check is patched to pass.
+    """
+    from bsbound import optimizer
+
+    asked = []
+
+    def fork():
+        asked.append(1)
+        raise OSError(errno.EAGAIN, "counted, not forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(optimizer, "_single_threaded", lambda: True)
+    return asked

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -595,6 +597,127 @@ class TestImports:
         golden = (GOLDEN / "sweep_small.csv").read_text()
         assert res.stdout.startswith(golden)
         assert 0.0 < float(res.stdout[len(golden):]) < 1e-9
+
+
+# `bsbound ARGS` in a fresh process: python -c RUNNER CPUS LOG MODE ARGS.
+# os.cpu_count returns CPUS; every os.fork the parent calls, and after
+# cli.main whether a child of it is left, is written to the file LOG.
+# MODE "die" makes a forked child leave by os._exit(1) before it delivers;
+# "interrupt" makes the parent's own level raise KeyboardInterrupt while
+# the child's sleeps, and the interrupt ends the run with exit code 130.
+RUNNER = """
+import os, sys, time
+cpus, log, mode, *argv = sys.argv[1:]
+os.cpu_count = lambda: int(cpus)
+parent = os.getpid()
+
+def note(text):
+    with open(log, "a") as fh:
+        fh.write(text + "\\n")
+
+fork = os.fork
+
+def counted_fork():
+    note("fork")
+    return fork()
+
+os.fork = counted_fork
+from bsbound import optimizer, cli
+
+solve = optimizer.minimize_absorption
+
+def patched(config):
+    if mode == "die" and os.getpid() != parent:
+        os._exit(1)
+    if mode == "interrupt":
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(120)
+    return solve(config)
+
+optimizer.minimize_absorption = patched
+try:
+    code = cli.main(argv)
+except KeyboardInterrupt:
+    code = 130
+try:
+    os.waitpid(-1, os.WNOHANG)
+    note("child left")
+except ChildProcessError:
+    note("no child")
+sys.exit(code)
+"""
+
+
+class TestForkedLevels:
+    """bound and minimize solve their ladder levels, and sweep --jobs its rows,
+    in forked processes; stdout, stderr and the exit code are the serial run's.
+    """
+
+    @pytest.fixture
+    def run(self, cli_env, tmp_path):
+        def run(cpus, mode, *args):
+            log = tmp_path / f"log-{len(list(tmp_path.iterdir()))}"
+            log.touch()
+            proc = subprocess.run(
+                [sys.executable, "-c", RUNNER, str(cpus), str(log), mode, *args],
+                capture_output=True, text=True, env=cli_env, timeout=180,
+            )
+            return (proc.returncode, proc.stdout, proc.stderr), log.read_text().split("\n")[:-1]
+
+        return run
+
+    CASES = {
+        "bound": (["bound", "--x", "1", "--omega", "0.1"], 1),
+        "minimize-reflective": (["minimize", "--x", "0.05"], 1),
+        "minimize-3-levels": (["minimize", "--x", "1", "--refine-levels", "3"], 2),
+        # exit 3: neither level reaches the ratio
+        "minimize-infeasible": (["minimize", "--x", "1e-4"], 1),
+        # exit 2: both levels raise, the second in the child
+        "minimize-failing": (["minimize", "--x", "1e8"], 1),
+        "sweep-jobs-2": (["sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3",
+                          "--log", "--jobs", "2"], 1),
+        "sweep-jobs-2-failing": (["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2",
+                                  "--log", "--jobs", "2"], 1),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_forked_run_is_the_serial_run(self, run, name):
+        args, forks = self.CASES[name]
+        serial, serial_log = run(1, "-", *args)
+        assert serial_log == ["no child"]
+        forked, forked_log = run(8, "-", *args)
+        assert forked == serial
+        assert forked_log == ["fork"] * forks + ["no child"]
+
+    @pytest.mark.parametrize("name", ["bound", "minimize-3-levels", "sweep-jobs-2"])
+    def test_child_that_dies_before_delivering(self, run, name):
+        args, forks = self.CASES[name]
+        serial, _ = run(1, "-", *args)
+        died, log = run(8, "die", *args)
+        assert died == serial
+        assert log == ["fork"] * forks + ["no child"]
+
+    def test_interrupt_kills_and_reaps_the_children(self, run):
+        start = time.monotonic()
+        (code, out, err), log = run(8, "interrupt", "minimize", "--x", "1", "--refine-levels", "3")
+        # the children sleep for two minutes unless killed
+        assert time.monotonic() - start < 60
+        assert (code, out) == (130, "")
+        assert log == ["fork", "fork", "no child"]
+
+    def test_workers_capped_at_cpu_count(self, failing_forks, monkeypatch, capsys):
+        # 324 levels on 8 CPUs ask for 7 children; each fork fails here, so the
+        # parent solves every level and the output is the serial one
+        args = ["minimize", "--x", "1e-4", "--gamma", "1e300", "--omega", "1e300",
+                "--refine-levels", "324"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = cli.main(args), capsys.readouterr()
+        assert serial[0] == 3
+        assert failing_forks == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert (cli.main(args), capsys.readouterr()) == serial
+        assert len(failing_forks) == 7
 
 
 class TestMisc:

@@ -278,6 +278,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{name}\*\*2 overflows, got {name}="):
             call(DrudeLorentzModel([Resonance(*fields)]))
 
+    @pytest.mark.parametrize("call, static", zip(FIVE_CALLS, [True, False, True, True, False]),
+                             ids=FIVE_IDS)
+    def test_underflowing_square_rejected_where_divided(self, call, static):
+        # omega_t**2 is 0.0: the static sums divide by it and name it; chi at
+        # omega > 0 divides by omega_t**2 - omega**2 - i*gamma*omega, not 0
+        model = DrudeLorentzModel([Resonance(1e-200, 1.0, 0.1)])
+        if static:
+            with pytest.raises(ValueError,
+                               match=r"^omega_t\*\*2 underflows to zero, got omega_t=1e-200$"):
+                call(model)
+        else:
+            call(model)
+
     @pytest.mark.parametrize("call", FIVE_CALLS, ids=FIVE_IDS)
     @pytest.mark.parametrize("fields", [
         (SQRT_MAX, SQRT_MAX, 0.1), (1.0, SQRT_MAX, 0.1), (SQRT_MAX, 1.0, 0.1),

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -374,9 +376,22 @@ class TestSweep:
             res.alpha, res.eps_s_star, res.d_star, res.p_min,
         )
 
-    def test_parallel_rows_identical(self):
-        xs = [0.5, 1.0, 2.0]
-        assert sweep(xs, jobs=1) == sweep(xs, jobs=2)
+    def test_parallel_rows_identical(self, cli_env):
+        # in a fresh process: numpy's BLAS threads keep this one from forking
+        code = (
+            "import os\n"
+            "os.cpu_count = lambda: 2\n"
+            "forks = []\n"
+            "fork = os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "from bsbound.optimizer import sweep\n"
+            "xs = [0.5, 1.0, 2.0]\n"
+            "assert sweep(xs, jobs=1) == sweep(xs, jobs=2)\n"
+            "assert forks == [1], forks\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=cli_env, timeout=180)
+        assert proc.returncode == 0, proc.stderr
 
     def test_infeasible_rows_are_data(self):
         rows = sweep([1e-4, 1.0])  # 1e-4 needs eps_s far beyond the default range
@@ -393,44 +408,22 @@ class TestSweep:
         with pytest.raises(ValueError, match="x_target must be positive"):
             sweep([1.0, 2.0, 0.0])
 
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Sizes of the pools sweep asks for; each maps serially, in this process."""
-        import multiprocessing
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, items, chunksize=1):
-                return [func(item) for item in items]
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        return sizes
-
-    def test_pool_sized_by_rows(self, pool_sizes, monkeypatch):
+    def test_pool_sized_by_rows(self, failing_forks, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         xs = [0.5, 1.0, 2.0]
         assert sweep(xs, jobs=4) == sweep(xs, jobs=1)
         assert sweep([1.0], jobs=4) == sweep([1.0])
-        assert pool_sizes == [3]
+        # three rows: the parent and two children
+        assert len(failing_forks) == 2
 
-    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, []), (None, [])])
-    def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch, cpus, sizes):
+    @pytest.mark.parametrize("cpus, children", [(2, 1), (1, 0), (None, 0)])
+    def test_pool_capped_at_cpu_count(self, failing_forks, monkeypatch, cpus, children):
         # jobs far above the CPUs (say --points 5000 --jobs 5000) forks no more
         # processes than there are CPUs; one CPU, or an unknown count, forks none
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         xs = [0.5, 1.0, 2.0]
         assert sweep(xs, jobs=5000) == sweep(xs)
-        assert pool_sizes == sizes
+        assert len(failing_forks) == children
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected_before_any_row(self, monkeypatch, jobs):
