@@ -113,6 +113,35 @@ def _kernel(
     return t, r, 1.0 - t_sq - r_sq, t_sq / r_sq if r_sq > 0.0 else math.inf
 
 
+def _poynting_p(factors: tuple[complex, ...], phase_arg: float) -> float:
+    """Absorption of the slab as Im(eps) times the integral of |E|^2 over it.
+
+    factors are _airy_factors of the index n = n' + i n'' and phase_arg =
+    omega*l/c is non-negative.  Inside the slab E = t e^{i phi} (A e^{ins} +
+    B e^{-ins}) with A, B = (1 +- 1/n)/2, s in [-phi, 0] and phi = phase_arg,
+    which integrates to
+
+        p = |t|^2 [n' (|A|^2 expm1(2n''phi) - |B|^2 expm1(-2n''phi))
+                   + 2n'' Re(A conj(B) (1 - e^{-2in'phi}) / i)].
+
+    Each term carries n'' or an expm1, so p is exactly 0.0 at n'' = 0 and
+    has no cancellation of 1 - |t|^2 - |r|^2 as n'' shrinks.
+    (1 - e^{-2i theta}) / i is written sin(2 theta) - 2i sin(theta)^2.
+    No solver path calls it yet; _kernel's p is what evaluate returns.
+    """
+    plus_sq, minus_sq, two_i_n, four_n, i_n_minus_1 = factors[:5]
+    den = plus_sq - minus_sq * _exp(two_i_n * phase_arg)
+    t = four_n * _exp(i_n_minus_1 * phase_arg) / den
+    n = four_n / 4
+    a = (1 + 1 / n) / 2
+    b = (1 - 1 / n) / 2
+    loss = 2 * n.imag * phase_arg
+    theta = n.real * phase_arg
+    w = complex(math.sin(2 * theta), -2 * math.sin(theta) ** 2)
+    inside = n.real * (abs(a) ** 2 * math.expm1(loss) - abs(b) ** 2 * math.expm1(-loss))
+    return abs(t) ** 2 * (inside + 2 * n.imag * (a * b.conjugate() * w).real)
+
+
 def transmission(n: ComplexIndex, phase_arg: float) -> complex:
     """Transmission amplitude for vacuum phase phase_arg = omega*l/c."""
     if not 0.0 <= phase_arg < math.inf:

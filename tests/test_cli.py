@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from bsbound import cli, optimizer
 from bsbound.optimizer import solve_thickness_for_ratio
-from conftest import GOLDEN, make_goldens
+from conftest import GOLDEN, REPO, make_goldens
 
 
 def parse_csv_record(text):
@@ -734,6 +735,48 @@ class TestMisc:
     def test_unknown_flag(self, run_cli):
         res = run_cli("eval", "--nope", "1")
         assert res.returncode == 2
+
+
+class TestProcessEntry:
+    """cli.app is the one process entry; only it touches the collector."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--constants"], 0),
+        (["minimize", "--x", "1", "--refine-levels", "0"], 2),
+        (["eval", "--nope", "1"], None),  # argparse exits by SystemExit(2)
+    ])
+    def test_main_leaves_the_collector_as_it_found_it(self, argv, code):
+        before = gc.isenabled(), gc.get_freeze_count()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                assert cli.main(argv) == code
+            except SystemExit as exc:
+                assert code is None and exc.code == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_python_m_runs_app_which_freezes_before_main(self, cli_env):
+        code = (
+            "import gc, runpy\n"
+            "import bsbound.cli as cli\n"
+            "calls, app = [], cli.app\n"
+            "cli.app = lambda: calls.append('app') or app()\n"
+            "cli.main = lambda argv=None: calls.append(gc.get_freeze_count() > 0) or 3\n"
+            "try:\n"
+            "    runpy.run_module('bsbound', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    calls.append(exc.code)\n"
+            "print(calls)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=cli_env, check=True,
+        )
+        assert out.stdout.strip() == "['app', True, 3]"
+
+    def test_console_script_targets_app(self):
+        pyproject = (REPO / "pyproject.toml").read_text()
+        assert '\nbsbound = "bsbound.cli:app"\n' in pyproject
 
 
 class TestGolden:
