@@ -5,17 +5,19 @@ the record alone.  Floats are printed with Python's shortest round-trip
 representation; CSV uses a frozen column order and JSON lines use the
 same keys, with a non-finite float written as the string CSV prints for
 it ("nan", "inf", "-inf").  Exit codes: 0 success, 2 usage or validation
-error or a failed solve, 3 infeasible constraint.  `main` alone turns
-an exception into an exit 2 with one `error:` line: a ValueError, which
-every command raises for bad input (`eval`'s response out of float range
-is slab.evaluate's own), and the optimizer's RuntimeError, a root that
-misses the ratio tolerance.
+error, a failed solve or a failed write of the output, 3 infeasible
+constraint.  `main` turns an exception into an exit 2 with one `error:`
+line: a ValueError, which every command raises for bad input (`eval`'s
+response out of float range is slab.evaluate's own), and the optimizer's
+RuntimeError, a root that misses the ratio tolerance.  `app`, the
+process entry, does so for output that cannot be written; it flushes
+the output and leaves by os._exit, so a `bsbound` process runs no
+atexit hook.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import os
 import sys
@@ -321,10 +323,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def app() -> None:
-    """The process entry of `bsbound` and `python -m bsbound`: main, then exit.
+    """The process entry of `bsbound` and `python -m bsbound`: main, flush, exit.
 
-    The import-time heap moves to the collector's permanent generation, so
-    no collection walks it again, the one at interpreter exit included.
+    argparse's SystemExit, 0 after --help and 2 on a usage error, ends
+    main with its own code.  stdout and then stderr are flushed here, and
+    the process leaves by os._exit, so no module teardown, atexit hook or
+    final collection runs.  Output that cannot be written (a closed pipe,
+    a full disk) exits 2 with one error line if stderr still takes it;
+    with PYTHONUNBUFFERED it is the write inside main that raises.  Any
+    other exception propagates.
     """
-    gc.freeze()
-    sys.exit(main())
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None where the descriptor was closed
+                stream.flush()
+    except OSError as exc:
+        code = 2
+        try:
+            print(f"error: cannot write output: {exc.strerror or exc}",
+                  file=sys.stderr, flush=True)
+        except OSError:
+            pass
+    os._exit(code)

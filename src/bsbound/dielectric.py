@@ -261,7 +261,8 @@ def superconvergence_residual(model: DrudeLorentzModel, omega_max: float) -> flo
     Each panel starts at _QUAD_POINTS subintervals and is doubled until
     successive refinements agree within _QUAD_TOL (split across panels).
     Raises QuadratureError if a panel fails to settle before
-    _MAX_SUBDIVISIONS.
+    _MAX_SUBDIVISIONS, and ValueError if a panel is not finite: some
+    omega_p**2 / (omega_t**2 - omega**2 - i*gamma*omega) overflows.
     """
     if not (math.isfinite(omega_max) and omega_max > 0):
         raise ValueError(f"omega_max must be finite and positive, got {omega_max}")
@@ -280,12 +281,18 @@ def superconvergence_residual(model: DrudeLorentzModel, omega_max: float) -> flo
         while True:
             m *= 2
             cur = _gauss_panel(terms, a, b, m)
-            if abs(cur - prev) <= panel_tol:
+            change = abs(cur - prev)
+            if change <= panel_tol:
                 break
+            if not math.isfinite(change):
+                raise ValueError(
+                    f"eta - 1 leaves float range on sum-rule panel [{a:g}, {b:g}], "
+                    f"got model={model!r}"
+                )
             if m > _MAX_SUBDIVISIONS:
                 raise QuadratureError(
                     f"sum-rule panel [{a:g}, {b:g}] did not converge: "
-                    f"last refinement changed by {abs(cur - prev):.3e}"
+                    f"last refinement changed by {change:.3e}"
                 )
             prev = cur
         total += cur

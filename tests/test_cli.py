@@ -738,7 +738,7 @@ class TestMisc:
 
 
 class TestProcessEntry:
-    """cli.app is the one process entry; only it touches the collector."""
+    """cli.app is the one process entry: main, a flush, then os._exit."""
 
     @pytest.mark.parametrize("argv, code", [
         (["--constants"], 0),
@@ -755,28 +755,96 @@ class TestProcessEntry:
                 assert code is None and exc.code == 2
         assert (gc.isenabled(), gc.get_freeze_count()) == before
 
-    def test_python_m_runs_app_which_freezes_before_main(self, cli_env):
+    def test_python_m_runs_app_which_flushes_before_it_exits(self, cli_env):
+        # bytes with no newline stay buffered until app flushes them; the
+        # atexit hook and the print after app never run under os._exit
         code = (
-            "import gc, runpy\n"
+            "import atexit, os, runpy, sys\n"
             "import bsbound.cli as cli\n"
-            "calls, app = [], cli.app\n"
-            "cli.app = lambda: calls.append('app') or app()\n"
-            "cli.main = lambda argv=None: calls.append(gc.get_freeze_count() > 0) or 3\n"
-            "try:\n"
-            "    runpy.run_module('bsbound', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    calls.append(exc.code)\n"
-            "print(calls)\n"
+            "atexit.register(os.write, 1, b' atexit')\n"
+            "def main(argv=None):\n"
+            "    sys.stdout.write('out, no newline')\n"
+            "    sys.stderr.write('err, no newline')\n"
+            "    return 3\n"
+            "cli.main = main\n"
+            "runpy.run_module('bsbound', run_name='__main__')\n"
+            "print('after app')\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=cli_env, check=True,
+        env = {k: v for k, v in cli_env.items() if k != "PYTHONUNBUFFERED"}
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env,
         )
-        assert out.stdout.strip() == "['app', True, 3]"
+        assert (res.returncode, res.stdout, res.stderr) == (
+            3, b"out, no newline", b"err, no newline"
+        )
+
+    def test_closed_stdout_descriptor_is_left_alone(self, cli_env):
+        # sys.stdout is None then; print writes nothing, as before app flushed
+        res = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m bsbound --constants >&-', sys.executable],
+            capture_output=True, env=cli_env,
+        )
+        assert (res.returncode, res.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["eval", "--nope", "1"], 2),
+    ])
+    def test_argparse_exit_keeps_its_code_and_bytes(self, cli_env, monkeypatch,
+                                                    argv, code):
+        # help is wrapped to COLUMNS, so both sides are given the same width
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+        assert exc.value.code == code
+        res = subprocess.run(
+            [sys.executable, "-m", "bsbound", *argv], capture_output=True,
+            env={**cli_env, "COLUMNS": "80"},
+        )
+        assert (res.returncode, res.stdout, res.stderr) == (
+            code, out.getvalue().encode(), err.getvalue().encode()
+        )
 
     def test_console_script_targets_app(self):
         pyproject = (REPO / "pyproject.toml").read_text()
         assert '\nbsbound = "bsbound.cli:app"\n' in pyproject
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFailedWrite:
+    """Output that cannot be written exits 2 with an error line, not a traceback."""
+
+    @pytest.fixture(params=["/dev/full", "closed pipe"])
+    def stdout_fd(self, request):
+        if request.param == "/dev/full":
+            fd = os.open("/dev/full", os.O_WRONLY)
+        else:
+            r, fd = os.pipe()
+            os.close(r)  # the reader is gone before the first write
+        yield fd
+        os.close(fd)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("args", [
+        ["--constants"],
+        ["bound", "--x", "1", "--omega", "0.1"],
+    ])
+    def test_exit_2_without_traceback(self, cli_env, stdout_fd, unbuffered, args):
+        # buffered, the flush in app fails; unbuffered, the write in main does
+        env = {k: v for k, v in cli_env.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        res = subprocess.run(
+            [sys.executable, "-m", "bsbound", *args], stdout=stdout_fd,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=180,
+        )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: cannot write output: ")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr
 
 
 class TestGolden:

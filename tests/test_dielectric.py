@@ -229,6 +229,20 @@ class TestSumRule:
         with pytest.raises(QuadratureError):
             superconvergence_residual(sharp, 1e3)
 
+    def test_panel_out_of_float_range_names_the_model(self):
+        # omega_p**2 is finite, but omega_p**2 / (1 - omega**2 - 0.1i*omega) is not
+        model = DrudeLorentzModel([Resonance(1.0, SQRT_MAX, 0.1)])
+        with pytest.raises(ValueError) as exc:
+            superconvergence_residual(model, 10.0)
+        assert str(exc.value) == (
+            f"eta - 1 leaves float range on sum-rule panel [0, 1], got model={model!r}"
+        )
+
+    def test_finite_panel_that_never_settles_keeps_quadrature_error(self):
+        model = DrudeLorentzModel([Resonance(1.0, 1e150, 0.1)])
+        with pytest.raises(QuadratureError, match=r"changed by 7\.450e\+135$"):
+            superconvergence_residual(model, 10.0)
+
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ValueError):
             superconvergence_residual(MODEL, 0.0)
