@@ -13,19 +13,24 @@ RuntimeError, a root that misses the ratio tolerance.  `app`, the
 process entry, does so for output that cannot be written; it flushes
 the output and leaves by os._exit, so a `bsbound` process runs no
 atexit hook.
+
+The command line is read from one table of commands and flags (`_parse`),
+which also gives the usage and help text; it takes the syntax argparse
+took, prints the bytes argparse printed at 80 columns, and imports
+nothing.  Nothing is written to a stdout whose descriptor is closed.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import linewidth, optimizer, slab
 
-__all__ = ["main", "app", "build_parser"]
+__all__ = ["main", "app"]
 
 
 def _fmt(value: object) -> str:
@@ -63,7 +68,7 @@ def _emit(records: list, fmt: str, out: Optional[str]) -> None:
             # main turns the ValueError into an error line and exit 2
             raise ValueError(_cannot_write(out, exc)) from None
     else:
-        sys.stdout.write(text)
+        _out(text)
 
 
 def _cannot_write(out: str, exc: OSError) -> str:
@@ -221,82 +226,274 @@ def cmd_bound(args) -> tuple[list, int]:
 
 
 def _finite(text: str) -> float:
-    """argparse type: a finite float; argparse names the flag on rejection."""
+    """A finite float; _parse puts the flag's name before the ValueError's message."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise ValueError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise ValueError(f"must be finite, got {text!r}")
     return value
 
 
-def _add_io_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, help="output file (default stdout)")
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bsbound",
-        description="Absorption bounds for a planar-slab beam splitter.",
-    )
-    parser.add_argument(
-        "--constants", action="store_true",
-        help="print the compiled physical constants and exit",
-    )
-    sub = parser.add_subparsers(dest="command")
+# The command line: _parse reads it from these tables, _usage and _help
+# print it.  A command is (help line, function, flags); the top level has
+# flags only.  A flag is (name, convert, default, help): convert is _finite,
+# _int, str, a tuple of the accepted values, or bool for a switch that
+# stores True, and the default _REQUIRED makes the flag required.  Its dest
+# is the name without the dashes, with "_" for "-".  Every command, and the
+# top level, also takes _HELP, which -h names too.
+_REQUIRED = object()
+_HELP = ("--help", None, None, "show this help message and exit")
+_IO_FLAGS = (
+    ("--format", ("csv", "json"), "csv", None),
+    ("--out", str, None, "output file (default stdout)"),
+)
+_TOP_FLAGS = (
+    ("--constants", bool, False, "print the compiled physical constants and exit"),
+)
+_COMMANDS = {
+    "eval": ("slab response at one working point", cmd_eval, (
+        ("--eps-s", _finite, _REQUIRED, None),
+        ("--gamma", _finite, _REQUIRED, None),
+        ("--omega", _finite, _REQUIRED, None),
+        ("--thickness", _finite, _REQUIRED, None),
+        ("--allow-lossless", bool, False, None),
+        *_IO_FLAGS,
+    )),
+    "minimize": ("minimal absorption at a splitting ratio", cmd_minimize, (
+        ("--x", _finite, _REQUIRED, None),
+        ("--gamma", _finite, optimizer.WORKING_POINT[0], None),
+        ("--omega", _finite, optimizer.WORKING_POINT[1], None),
+        ("--eps-s-max", _finite, optimizer.EPS_S_MAX, None),
+        ("--refine-levels", _int, 2, None),
+        *_IO_FLAGS,
+    )),
+    "sweep": ("alpha and eps_s over a grid of ratios", cmd_sweep, (
+        ("--x-min", _finite, _REQUIRED, None),
+        ("--x-max", _finite, _REQUIRED, None),
+        ("--points", _int, _REQUIRED, None),
+        ("--log", bool, False, "logarithmic grid"),
+        ("--jobs", _int, 1, None),
+        *_IO_FLAGS,
+    )),
+    "bound": ("minimal absorption probability chain", cmd_bound, (
+        ("--x", _finite, _REQUIRED, None),
+        ("--omega", _finite, _REQUIRED, None),
+        ("--nvt", _finite, 1e9, None),
+        *_IO_FLAGS,
+    )),
+}
+# help and usage are laid out as argparse lays them out for 80 columns
+_WIDTH = 78
 
-    p = sub.add_parser("eval", help="slab response at one working point")
-    p.add_argument("--eps-s", dest="eps_s", type=_finite, required=True)
-    p.add_argument("--gamma", type=_finite, required=True)
-    p.add_argument("--omega", type=_finite, required=True)
-    p.add_argument("--thickness", type=_finite, required=True)
-    p.add_argument("--allow-lossless", action="store_true")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("minimize", help="minimal absorption at a splitting ratio")
-    p.add_argument("--x", type=_finite, required=True)
-    p.add_argument("--gamma", type=_finite, default=optimizer.WORKING_POINT[0])
-    p.add_argument("--omega", type=_finite, default=optimizer.WORKING_POINT[1])
-    p.add_argument(
-        "--eps-s-max", dest="eps_s_max", type=_finite, default=optimizer.EPS_S_MAX
-    )
-    p.add_argument("--refine-levels", dest="refine_levels", type=int, default=2)
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_minimize)
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
 
-    p = sub.add_parser("sweep", help="alpha and eps_s over a grid of ratios")
-    p.add_argument("--x-min", dest="x_min", type=_finite, required=True)
-    p.add_argument("--x-max", dest="x_max", type=_finite, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--log", action="store_true", help="logarithmic grid")
-    p.add_argument("--jobs", type=int, default=1)
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bound", help="minimal absorption probability chain")
-    p.add_argument("--x", type=_finite, required=True)
-    p.add_argument("--omega", type=_finite, required=True)
-    p.add_argument("--nvt", type=_finite, default=1e9)
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_bound)
+def _out(text: str) -> None:
+    """Write to stdout; a closed stdout descriptor (sys.stdout None) takes nothing."""
+    if sys.stdout is not None:
+        sys.stdout.write(text)
 
-    return parser
+
+def _err(text: str) -> None:
+    if sys.stderr is not None:
+        sys.stderr.write(text)
+
+
+def _prog(command: Optional[str]) -> str:
+    return "bsbound" if command is None else f"bsbound {command}"
+
+
+def _metavar(name: str, convert) -> str:
+    if isinstance(convert, tuple):
+        return "{" + ",".join(convert) + "}"
+    return _dest(name).upper()
+
+
+def _usage(command: Optional[str]) -> str:
+    flags = _COMMANDS[command][2] if command else _TOP_FLAGS
+    parts = [_prog(command), "[-h]"]
+    for name, convert, default, _ in flags:
+        if convert is bool:
+            parts.append(f"[{name}]")
+        elif default is _REQUIRED:
+            parts += [name, _metavar(name, convert)]
+        else:
+            parts.append(f"[{name} {_metavar(name, convert)}]")
+    if command is None:
+        parts += ["{" + ",".join(_COMMANDS) + "}", "..."]
+    indent = len("usage: ") + len(parts[0])
+    text, width = "usage:", len("usage:")
+    for i, part in enumerate(parts):
+        if i and width + 1 + len(part) > _WIDTH:
+            text += "\n" + " " * indent
+            width = indent
+        text += " " + part
+        width += 1 + len(part)
+    return text + "\n"
+
+
+def _help(command: Optional[str]) -> str:
+    flags = _COMMANDS[command][2] if command else _TOP_FLAGS
+    options = [(2, "-h, --help", _HELP[3])]
+    options += [
+        (2, name if convert is bool else f"{name} {_metavar(name, convert)}", text)
+        for name, convert, _, text in flags
+    ]
+    sections = [("options:", options)]
+    head = _usage(command) + "\n"
+    if command is None:
+        head += "Absorption bounds for a planar-slab beam splitter.\n\n"
+        commands = [(2, "{" + ",".join(_COMMANDS) + "}", None)]
+        commands += [(4, name, spec[0]) for name, spec in _COMMANDS.items()]
+        sections.insert(0, ("positional arguments:", commands))
+    column = min(24, 2 + max(
+        indent + len(invocation) for _, rows in sections for indent, invocation, _ in rows
+    ))
+    blocks = []
+    for title, rows in sections:
+        lines = [title]
+        for indent, invocation, text in rows:
+            invocation = " " * indent + invocation
+            if text is None:
+                lines.append(invocation)
+            elif len(invocation) <= column - 2:
+                lines.append(invocation.ljust(column) + text)
+            else:
+                lines += [invocation, " " * column + text]
+        blocks.append("\n".join(lines) + "\n")
+    return head + "\n".join(blocks)
+
+
+def _fail(command: Optional[str], message: str):
+    """A usage error: the usage and one error line on stderr, then SystemExit(2)."""
+    _err(f"{_usage(command)}{_prog(command)}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _find(command: Optional[str], flags: Sequence, token: str):
+    """The flag a token names and its "=" value, (None, None) for a token that
+    looks like a flag but names none, or None for a value or a positional.
+
+    A "--" token names the one flag whose name it is or starts; "-h" and
+    "-hVALUE" name --help.  A token that does not start with "-", "-"
+    itself, a number and a token with a space are values.
+    """
+    if token.startswith("--") and token != "--":
+        name, eq, value = token.partition("=")
+        flags = (_HELP, *flags)
+        hits = [f for f in flags if f[0] == name] or [f for f in flags if f[0].startswith(name)]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {token} could match "
+                           + ", ".join(f[0] for f in hits))
+        if hits:
+            return hits[0], value if eq else None
+    elif token.startswith("-h"):
+        return _HELP, (token[3:] if token[2:3] == "=" else token[2:] or None)
+    if not token.startswith("-") or token == "-" or " " in token:
+        return None
+    try:
+        float(token)
+    except ValueError:
+        return None, None
+    return None
+
+
+def _convert(command: Optional[str], label: str, convert, text: str):
+    if isinstance(convert, tuple):
+        if text in convert:
+            return text
+        choices = ", ".join(map(repr, convert))
+        message = f"invalid choice: {text!r} (choose from {choices})"
+    else:
+        try:
+            return convert(text)
+        except ValueError as exc:
+            message = str(exc)
+    _fail(command, f"argument {label}: {message}")
+
+
+def _read(command: Optional[str], flags: Sequence, tokens: list, args, extras: list) -> int:
+    """Store in args what the flags among tokens give, and put in extras each
+    token that no flag takes.  At the top level (command None) stop at the
+    first positional token; return the index where reading stopped.
+    """
+    found = [_find(command, flags, token) for token in tokens]
+    i = 0
+    while i < len(tokens):
+        if found[i] is None and command is None:
+            break
+        flag, value = found[i] or (None, None)
+        if flag is None:
+            extras.append(tokens[i])
+        elif flag[1] is None or flag[1] is bool:
+            if value is not None:
+                label = "-h/--help" if flag is _HELP else flag[0]
+                _fail(command, f"argument {label}: ignored explicit argument {value!r}")
+            if flag is _HELP:
+                _out(_help(command))
+                raise SystemExit(0)
+            setattr(args, _dest(flag[0]), True)
+        else:
+            if value is None:
+                # the next token is the value unless it is itself a flag
+                if i + 1 == len(tokens) or found[i + 1] is not None:
+                    _fail(command, f"argument {flag[0]}: expected one argument")
+                i += 1
+                value = tokens[i]
+            setattr(args, _dest(flag[0]), _convert(command, flag[0], flag[1], value))
+        i += 1
+    return i
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace of a command line: constants, command, and with a command
+    its func and one attribute per flag.
+
+    A flag takes its value as "--flag value" or "--flag=value", may be
+    shortened to any prefix that names it alone, and the last of repeated
+    flags wins.  A usage error prints the usage and an error line to stderr
+    and raises SystemExit(2); -h or --help prints the help to stdout and
+    raises SystemExit(0).
+    """
+    args = SimpleNamespace(constants=False, command=None)
+    extras: list = []
+    start = _read(None, _TOP_FLAGS, argv, args, extras)
+    if start < len(argv):
+        args.command = _convert(None, "command", tuple(_COMMANDS), argv[start])
+        _, args.func, flags = _COMMANDS[args.command]
+        for name, _, default, _ in flags:
+            setattr(args, _dest(name), default)
+        _read(args.command, flags, argv[start + 1:], args, extras)
+        missing = [f[0] for f in flags if getattr(args, _dest(f[0])) is _REQUIRED]
+        if missing:
+            _fail(args.command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if args.constants:
-        print(f"hbar = {linewidth.HBAR!r} J s")
-        print(f"epsilon_0 = {linewidth.EPSILON_0!r} F m^-1")
-        print(f"c = {linewidth.SPEED_OF_LIGHT!r} m s^-1")
+        _out(
+            f"hbar = {linewidth.HBAR!r} J s\n"
+            f"epsilon_0 = {linewidth.EPSILON_0!r} F m^-1\n"
+            f"c = {linewidth.SPEED_OF_LIGHT!r} m s^-1\n"
+        )
         return 0
     if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("error: a subcommand is required", file=sys.stderr)
+        _err(_usage(None) + "error: a subcommand is required\n")
         return 2
     out = args.out
     created = bool(out) and not os.path.exists(out)
@@ -325,7 +522,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def app() -> None:
     """The process entry of `bsbound` and `python -m bsbound`: main, flush, exit.
 
-    argparse's SystemExit, 0 after --help and 2 on a usage error, ends
+    The parser's SystemExit, 0 after --help and 2 on a usage error, ends
     main with its own code.  stdout and then stderr are flushed here, and
     the process leaves by os._exit, so no module teardown, atexit hook or
     final collection runs.  Output that cannot be written (a closed pipe,

@@ -3,12 +3,14 @@
 Nothing here shares code paths with the package: the slab oracle is a
 plain 2x2 transfer matrix, the high-precision oracles recompute with
 mpmath at 50 digits, the minimization oracle is a brute-force grid
-search over (eps_s, d) with local refinement, and alpha0 is the
-closed-form leading order of alpha.
+search over (eps_s, d) with local refinement, alpha0 is the
+closed-form leading order of alpha, and build_parser is the argparse
+parser the CLI used before it read its command line from a flag table.
 """
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import math
 
@@ -263,3 +265,74 @@ def alpha0_min(x: float, eps_min: float, eps_max: float) -> tuple[float, float]:
     # the minimum may sit on a scanned end, which bounded Brent never evaluates
     return min((float(res.x), float(res.fun)), (float(grid[k]), alpha0(grid[k], x)),
                key=lambda pair: pair[1])
+
+
+# --- the argparse command line -------------------------------------------------
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float; argparse names the flag on rejection."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _add_io_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--out", default=None, help="output file (default stdout)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of bsbound.cli up to its flag table, func set to its commands."""
+    from bsbound import cli, optimizer
+
+    parser = argparse.ArgumentParser(
+        prog="bsbound",
+        description="Absorption bounds for a planar-slab beam splitter.",
+    )
+    parser.add_argument(
+        "--constants", action="store_true",
+        help="print the compiled physical constants and exit",
+    )
+    sub = parser.add_subparsers(dest="command")
+
+    p = sub.add_parser("eval", help="slab response at one working point")
+    p.add_argument("--eps-s", dest="eps_s", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
+    p.add_argument("--omega", type=_finite, required=True)
+    p.add_argument("--thickness", type=_finite, required=True)
+    p.add_argument("--allow-lossless", action="store_true")
+    _add_io_flags(p)
+    p.set_defaults(func=cli.cmd_eval)
+
+    p = sub.add_parser("minimize", help="minimal absorption at a splitting ratio")
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, default=optimizer.WORKING_POINT[0])
+    p.add_argument("--omega", type=_finite, default=optimizer.WORKING_POINT[1])
+    p.add_argument(
+        "--eps-s-max", dest="eps_s_max", type=_finite, default=optimizer.EPS_S_MAX
+    )
+    p.add_argument("--refine-levels", dest="refine_levels", type=int, default=2)
+    _add_io_flags(p)
+    p.set_defaults(func=cli.cmd_minimize)
+
+    p = sub.add_parser("sweep", help="alpha and eps_s over a grid of ratios")
+    p.add_argument("--x-min", dest="x_min", type=_finite, required=True)
+    p.add_argument("--x-max", dest="x_max", type=_finite, required=True)
+    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--log", action="store_true", help="logarithmic grid")
+    p.add_argument("--jobs", type=int, default=1)
+    _add_io_flags(p)
+    p.set_defaults(func=cli.cmd_sweep)
+
+    p = sub.add_parser("bound", help="minimal absorption probability chain")
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--omega", type=_finite, required=True)
+    p.add_argument("--nvt", type=_finite, default=1e9)
+    _add_io_flags(p)
+    p.set_defaults(func=cli.cmd_bound)
+
+    return parser

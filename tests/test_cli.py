@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from bsbound import cli, optimizer
 from bsbound.optimizer import solve_thickness_for_ratio
 from conftest import GOLDEN, REPO, make_goldens
+from oracles import build_parser
 
 
 def parse_csv_record(text):
@@ -445,6 +447,224 @@ class TestNonFiniteInputs:
         assert "argument --x: invalid float value: 'abc'" in res.stderr
 
 
+# the help argparse printed at 80 columns, which the flag table reproduces
+HELP = {
+    "": (
+        "usage: bsbound [-h] [--constants] {eval,minimize,sweep,bound} ...\n"
+        "\n"
+        "Absorption bounds for a planar-slab beam splitter.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {eval,minimize,sweep,bound}\n"
+        "    eval                slab response at one working point\n"
+        "    minimize            minimal absorption at a splitting ratio\n"
+        "    sweep               alpha and eps_s over a grid of ratios\n"
+        "    bound               minimal absorption probability chain\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --constants           print the compiled physical constants and exit\n"
+    ),
+    "eval": (
+        "usage: bsbound eval [-h] --eps-s EPS_S --gamma GAMMA --omega OMEGA --thickness\n"
+        "                    THICKNESS [--allow-lossless] [--format {csv,json}]\n"
+        "                    [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --eps-s EPS_S\n"
+        "  --gamma GAMMA\n"
+        "  --omega OMEGA\n"
+        "  --thickness THICKNESS\n"
+        "  --allow-lossless\n"
+        "  --format {csv,json}\n"
+        "  --out OUT             output file (default stdout)\n"
+    ),
+    "minimize": (
+        "usage: bsbound minimize [-h] --x X [--gamma GAMMA] [--omega OMEGA]\n"
+        "                        [--eps-s-max EPS_S_MAX]\n"
+        "                        [--refine-levels REFINE_LEVELS] [--format {csv,json}]\n"
+        "                        [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --x X\n"
+        "  --gamma GAMMA\n"
+        "  --omega OMEGA\n"
+        "  --eps-s-max EPS_S_MAX\n"
+        "  --refine-levels REFINE_LEVELS\n"
+        "  --format {csv,json}\n"
+        "  --out OUT             output file (default stdout)\n"
+    ),
+    "sweep": (
+        "usage: bsbound sweep [-h] --x-min X_MIN --x-max X_MAX --points POINTS [--log]\n"
+        "                     [--jobs JOBS] [--format {csv,json}] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --x-min X_MIN\n"
+        "  --x-max X_MAX\n"
+        "  --points POINTS\n"
+        "  --log                logarithmic grid\n"
+        "  --jobs JOBS\n"
+        "  --format {csv,json}\n"
+        "  --out OUT            output file (default stdout)\n"
+    ),
+    "bound": (
+        "usage: bsbound bound [-h] --x X --omega OMEGA [--nvt NVT]\n"
+        "                     [--format {csv,json}] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --x X\n"
+        "  --omega OMEGA\n"
+        "  --nvt NVT\n"
+        "  --format {csv,json}\n"
+        "  --out OUT            output file (default stdout)\n"
+    ),
+}
+
+# each command's flags, the required ones first, as the reference declares them
+FLAGS = {
+    "eval": ["--eps-s", "--gamma", "--omega", "--thickness", "--allow-lossless",
+             "--format", "--out"],
+    "minimize": ["--x", "--gamma", "--omega", "--eps-s-max", "--refine-levels",
+                 "--format", "--out"],
+    "sweep": ["--x-min", "--x-max", "--points", "--log", "--jobs", "--format", "--out"],
+    "bound": ["--x", "--omega", "--nvt", "--format", "--out"],
+}
+REQUIRED = {"eval": 4, "minimize": 1, "sweep": 3, "bound": 2}
+SWITCHES = ("--allow-lossless", "--log")
+
+
+def flag_values(flag):
+    """Values for flag: valid ones, and text the flag rejects.
+
+    Negative numbers are drawn only as digits with an optional fraction:
+    "-1e-05" or "-inf" after a flag is a value to the flag table, but a
+    missing value to argparse on Python 3.11.
+    """
+    if flag == "--format":
+        return st.sampled_from(["csv", "json"] * 2 + ["xml", "CSV", ""])
+    if flag == "--out":
+        return st.sampled_from(["out.csv", "-", "-1", "a b", "x=y"])
+    if flag in ("--refine-levels", "--points", "--jobs"):
+        valid = st.integers(-10**6, 10**6).map(str)
+    else:
+        valid = st.floats(0.0, allow_infinity=False).map(repr)
+    odd = st.sampled_from(["nan", "inf", "abc", "1.5", "-1", "-0.5", "-.5", "1e3", "", " 2"])
+    return st.one_of(valid, valid, odd)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv over the four commands' flags, valid or not."""
+    argv = draw(st.sampled_from([[]] * 4 + [["--constants"], ["-h"], ["--con"], ["--nope"]]
+                                + [[]] * 4))
+    command = draw(st.sampled_from([*FLAGS] * 4 + ["nope", None]))
+    if command is None:
+        return argv
+    argv.append(command)
+    flags = FLAGS.get(command, FLAGS["bound"])  # "nope" is given bound's flags
+    given = [] if draw(st.integers(0, 3)) == 0 else flags[:REQUIRED.get(command, 0)]
+    given += draw(st.lists(st.sampled_from(flags), max_size=4))
+    for flag in given:
+        kind = draw(st.sampled_from(
+            ["pair"] * 24 + ["equals"] * 12 + ["missing"] * 2 + ["unknown"] * 2 + ["extra", "help"]
+        ))
+        # a prefix may name one flag or several
+        spelled = flag[:draw(st.integers(3, len(flag)))] if draw(st.integers(0, 3)) == 0 else flag
+        if kind == "unknown":
+            argv.append(draw(st.sampled_from(["--nope", "-x", "--constants", "--x-", "-hx"])))
+        elif kind == "help":
+            argv.append(draw(st.sampled_from(["-h", "--help", "--he"])))
+        elif kind == "extra":
+            argv.append(draw(st.sampled_from(["extra", "1", "-1"])))
+        elif flag in SWITCHES or kind == "missing":
+            argv.append(spelled)
+        else:
+            value = draw(flag_values(flag))
+            argv += [f"{spelled}={value}"] if kind == "equals" else [spelled, value]
+    return argv
+
+
+class TestParser:
+    """The flag table parses what argparse parsed, and prints its bytes."""
+
+    @staticmethod
+    def parse(parse, argv):
+        """(namespace as a dict or None, SystemExit code or None, stdout, stderr)."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                return vars(parse(argv)), None, out.getvalue(), err.getvalue()
+            except SystemExit as exc:
+                return None, exc.code, out.getvalue(), err.getvalue()
+
+    @given(command_lines())
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_matches_the_argparse_reference(self, argv):
+        expected, ref_code, ref_out, _ = self.parse(build_parser().parse_args, argv)
+        got, code, out, err = self.parse(cli._parse, argv)
+        assert code == ref_code, (out, err)
+        if code is None:
+            assert got == expected
+        elif code == 0:
+            # the help of the same command; argparse wraps it to COLUMNS
+            assert out.split()[:3] == ref_out.split()[:3]
+        else:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv)
+            assert exc.value.code == 2
+            assert stdout.getvalue() == ""
+            assert re.match(r"(bsbound( \w+)?: )?error: ", stderr.getvalue().splitlines()[-1])
+            assert "Traceback" not in stderr.getvalue()
+
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_is_the_argparse_text(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command.split(), "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP[command], "")
+
+    @pytest.mark.parametrize("argv, command, message", [
+        (["bound", "--x"], "bound", "argument --x: expected one argument"),
+        (["bound", "--x", "-e", "--omega", "1"], "bound", "argument --x: expected one argument"),
+        (["minimize", "--x", "1", "--o", "3"], "minimize",
+         "ambiguous option: --o could match --omega, --out"),
+        (["sweep", "--x=1"], "sweep", "ambiguous option: --x=1 could match --x-min, --x-max"),
+        (["nope"], "", "argument command: invalid choice: 'nope' "
+                       "(choose from 'eval', 'minimize', 'sweep', 'bound')"),
+        (["minimize", "--x", "1", "--format", "xml"], "minimize",
+         "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        (["minimize", "--x", "1", "--refine-levels", "1.5"], "minimize",
+         "argument --refine-levels: invalid int value: '1.5'"),
+        (["eval", "--nope", "1"], "eval",
+         "the following arguments are required: --eps-s, --gamma, --omega, --thickness"),
+        (["bound", "--x", "1", "--omega", "1", "extra", "--nope"], "",
+         "unrecognized arguments: extra --nope"),
+        (["bound", "-hx"], "bound", "argument -h/--help: ignored explicit argument 'x'"),
+        (["--constants=1"], "", "argument --constants: ignored explicit argument '1'"),
+    ])
+    def test_usage_error_is_the_argparse_text(self, capsys, argv, command, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        usage = HELP[command].split("\n\n")[0]
+        prog = f"bsbound {command}".strip()
+        assert capsys.readouterr() == ("", f"{usage}\n{prog}: error: {message}\n")
+
+    def test_accepted_syntax(self):
+        args = cli._parse(["--con", "bound", "--om=0.5", "--x", "2", "--x=-3",
+                           "--nvt", "-1e-05", "--f", "json", "--out", "-"])
+        assert vars(args) == {
+            "constants": True, "command": "bound", "func": cli.cmd_bound,
+            "x": -3.0, "omega": 0.5, "nvt": -1e-05, "format": "json", "out": "-",
+        }
+
+
 class TestContract:
     """Exit 0, 2 or 3 and no escaping exception for any input, run in process."""
 
@@ -455,7 +675,7 @@ class TestContract:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejects the command line
+            except SystemExit as exc:  # the parser rejects the command line
                 assert exc.code == 2, err.getvalue()
                 return None
         assert code in (0, 2, 3), err.getvalue()
@@ -559,6 +779,27 @@ class TestImports:
             env=cli_env, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_cli_process_loads_no_argparse_gettext_or_locale(self, cli_env):
+        # python -m bsbound bound ..., with main wrapped to list them on its return
+        code = (
+            "import runpy, sys\n"
+            "import bsbound.cli as cli\n"
+            "main = cli.main\n"
+            "def listed(argv=None):\n"
+            "    code = main(argv)\n"
+            "    loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+            "    sys.stderr.write(f'loaded: {sorted(loaded)}')\n"
+            "    return code\n"
+            "cli.main = listed\n"
+            "runpy.run_module('bsbound', run_name='__main__')\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code, "bound", "--x", "1", "--omega", "0.1"],
+            capture_output=True, text=True, env=cli_env, timeout=180,
+        )
+        assert (res.returncode, res.stderr) == (0, "loaded: []")
+        assert res.stdout == (GOLDEN / "bound_headline.csv").read_text()
 
     def test_scan_valleys_load_only_for_a_solve(self, cli_env):
         # the shipped valley table is imported on the first default-level
@@ -743,7 +984,7 @@ class TestProcessEntry:
     @pytest.mark.parametrize("argv, code", [
         (["--constants"], 0),
         (["minimize", "--x", "1", "--refine-levels", "0"], 2),
-        (["eval", "--nope", "1"], None),  # argparse exits by SystemExit(2)
+        (["eval", "--nope", "1"], None),  # the parser exits by SystemExit(2)
     ])
     def test_main_leaves_the_collector_as_it_found_it(self, argv, code):
         before = gc.isenabled(), gc.get_freeze_count()
@@ -778,30 +1019,32 @@ class TestProcessEntry:
             3, b"out, no newline", b"err, no newline"
         )
 
-    def test_closed_stdout_descriptor_is_left_alone(self, cli_env):
-        # sys.stdout is None then; print writes nothing, as before app flushed
+    @pytest.mark.parametrize("argv, code", [
+        (["--constants"], 0),
+        (["bound", "--x", "1", "--omega", "0.1"], 0),
+        (["minimize", "--x", "1e-4"], 3),
+        (["--help"], 0),
+    ])
+    def test_closed_stdout_descriptor_is_left_alone(self, cli_env, argv, code):
+        # sys.stdout is None then: records, constants and help write nothing
         res = subprocess.run(
-            ["sh", "-c", 'exec "$0" -m bsbound --constants >&-', sys.executable],
-            capture_output=True, env=cli_env,
+            ["sh", "-c", 'exec "$0" -m bsbound "$@" >&-', sys.executable, *argv],
+            capture_output=True, env=cli_env, timeout=180,
         )
-        assert (res.returncode, res.stderr) == (0, b"")
+        assert (res.returncode, res.stderr) == (code, b"")
 
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0),
         (["eval", "--nope", "1"], 2),
     ])
-    def test_argparse_exit_keeps_its_code_and_bytes(self, cli_env, monkeypatch,
-                                                    argv, code):
-        # help is wrapped to COLUMNS, so both sides are given the same width
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_parser_exit_keeps_its_code_and_bytes(self, cli_env, argv, code):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
         assert exc.value.code == code
         res = subprocess.run(
-            [sys.executable, "-m", "bsbound", *argv], capture_output=True,
-            env={**cli_env, "COLUMNS": "80"},
+            [sys.executable, "-m", "bsbound", *argv], capture_output=True, env=cli_env,
         )
         assert (res.returncode, res.stdout, res.stderr) == (
             code, out.getvalue().encode(), err.getvalue().encode()
@@ -829,6 +1072,7 @@ class TestFailedWrite:
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("args", [
         ["--constants"],
+        ["--help"],
         ["bound", "--x", "1", "--omega", "0.1"],
     ])
     def test_exit_2_without_traceback(self, cli_env, stdout_fd, unbuffered, args):
