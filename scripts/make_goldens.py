@@ -7,7 +7,8 @@ pins the repr of every solver result field (see solver_reprs).
 
 The same run first writes src/bsbound/_scan_valleys.py, the valleys of the
 default ladder's eps_s scan slices that the optimizer ships (see
-scan_valleys); name it as `_scan_valleys.py` to write it alone.
+scan_valleys); name it as `_scan_valleys.py` to write it alone.  A file
+whose bytes would not change is left as it is, mtime included.
 """
 
 import math
@@ -127,6 +128,20 @@ def scan_valleys() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path unless the file already holds exactly its bytes.
+
+    A file left alone keeps its mtime, so the bytecode Python cached for
+    _scan_valleys.py stays valid.
+    """
+    data = text.encode()
+    if path.is_file() and path.read_bytes() == data:
+        print(f"unchanged {path}")
+    else:
+        path.write_bytes(data)
+        print(f"wrote {path}")
+
+
 def main(names: list[str]) -> None:
     unknown = set(names) - set(CASES) - {SOLVER_GOLDEN, SCAN_VALLEYS.name}
     if unknown:
@@ -134,8 +149,7 @@ def main(names: list[str]) -> None:
     sys.path.insert(0, str(REPO / "src"))
     if not names or SCAN_VALLEYS.name in names:
         # written first, so the goldens below are made with the new table
-        SCAN_VALLEYS.write_text(scan_valleys())
-        print(f"wrote {SCAN_VALLEYS}")
+        _write(SCAN_VALLEYS, scan_valleys())
     env = os.environ.copy()
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     GOLDEN.mkdir(parents=True, exist_ok=True)
@@ -146,11 +160,9 @@ def main(names: list[str]) -> None:
             [sys.executable, "-m", "bsbound", *args],
             capture_output=True, text=True, env=env, check=True,
         )
-        (GOLDEN / name).write_text(out.stdout)
-        print(f"wrote {GOLDEN / name}")
+        _write(GOLDEN / name, out.stdout)
     if not names or SOLVER_GOLDEN in names:
-        (GOLDEN / SOLVER_GOLDEN).write_text(solver_reprs())
-        print(f"wrote {GOLDEN / SOLVER_GOLDEN}")
+        _write(GOLDEN / SOLVER_GOLDEN, solver_reprs())
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ constraint.  `main` turns an exception into an exit 2 with one `error:`
 line: a ValueError, which every command raises for bad input (`eval`'s
 response out of float range is slab.evaluate's own), and the optimizer's
 RuntimeError, a root that misses the ratio tolerance.  `app`, the
-process entry, does so for output that cannot be written; it flushes
-the output and leaves by os._exit, so a `bsbound` process runs no
-atexit hook.
+process entry, does so for output that cannot be written, on stdout or
+stderr; it flushes the output and leaves by os._exit, so a `bsbound`
+process runs no atexit hook.  Commands write nothing: every byte goes
+through `_out` or `_err`, a command's warnings after its records.
 
 The command line is read from one table of commands and flags (`_parse`),
 which also gives the usage and help text; it takes the syntax argparse
@@ -36,9 +37,7 @@ __all__ = ["main", "app"]
 def _fmt(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its shortest round-trip repr
 
 
 def _emit(records: list, fmt: str, out: Optional[str]) -> None:
@@ -75,26 +74,25 @@ def _cannot_write(out: str, exc: OSError) -> str:
     return f"cannot write --out {out!r}: {exc.strerror or exc}"
 
 
-def _extract(x: float, levels: Sequence, eps_s_max: float) -> optimizer.AlphaExtraction:
+def _extract(x: float, levels: Sequence, eps_s_max: float,
+             warnings: list) -> optimizer.AlphaExtraction:
     """extract_alpha over `levels`, as the CLI reports it.
 
-    The levels are solved in up to one process per CPU, which changes no
-    output byte (optimizer._fork_map).  A drift that breaks the separable
-    scaling gets a warning on stderr; one level measures no drift.
+    The levels are solved one process each, up to one per CPU, which changes
+    no output byte (optimizer._fork_map).  A drift that breaks the separable
+    scaling adds a line to warnings; one level measures no drift.
     """
-    workers = min(len(levels), os.cpu_count() or 1)
-    ex = optimizer._extract_alpha(x, levels, eps_s_max, workers)
+    ex = optimizer._extract_alpha(x, levels, eps_s_max, len(levels))
     if ex.drift > optimizer._DRIFT_TOL:
-        print(
+        warnings.append(
             f"warning: alpha_drift = {ex.drift!r} exceeds "
             f"{optimizer._DRIFT_TOL!r}; alpha does not scale as p/(gamma*omega) "
-            "at this working point",
-            file=sys.stderr,
+            "at this working point\n"
         )
     return ex
 
 
-def cmd_eval(args) -> tuple[list, int]:
+def cmd_eval(args, warnings: list) -> tuple[list, int]:
     if args.gamma == 0.0 and not args.allow_lossless:
         raise ValueError("gamma = 0 requires --allow-lossless")
     resp = slab.evaluate(slab.ScaledSlabParams(
@@ -119,11 +117,11 @@ def cmd_eval(args) -> tuple[list, int]:
     return [record], 0
 
 
-def cmd_minimize(args) -> tuple[list, int]:
+def cmd_minimize(args, warnings: list) -> tuple[list, int]:
     if args.refine_levels < 1:
         raise ValueError("--refine-levels must be at least 1")
     levels = optimizer.ladder(args.gamma, args.omega, args.refine_levels)
-    ex = _extract(args.x, levels, args.eps_s_max)
+    ex = _extract(args.x, levels, args.eps_s_max, warnings)
     res = ex.results[-1]
     record = [
         ("x", args.x),
@@ -161,7 +159,7 @@ def _grid(x_min: float, x_max: float, points: int, log: bool) -> list:
     return [x_min, *inner, x_max]
 
 
-def cmd_sweep(args) -> tuple[list, int]:
+def cmd_sweep(args, warnings: list) -> tuple[list, int]:
     if not args.x_min < args.x_max:
         raise ValueError(f"--x-min must be below --x-max, got {args.x_min} >= {args.x_max}")
     if args.points < 2:
@@ -186,19 +184,18 @@ def cmd_sweep(args) -> tuple[list, int]:
     return records, 0
 
 
-def cmd_bound(args) -> tuple[list, int]:
+def cmd_bound(args, warnings: list) -> tuple[list, int]:
     if args.nvt <= 0:
         raise ValueError(f"--nvt must be positive, got {args.nvt}")
     if args.omega <= 0:
         raise ValueError(f"--omega must be positive, got {args.omega}")
     if args.omega > 0.5:
-        print(
+        warnings.append(
             f"warning: omega = {args.omega} is outside the low-frequency "
-            "validity range (recommended omega < 0.5)",
-            file=sys.stderr,
+            "validity range (recommended omega < 0.5)\n"
         )
     levels = optimizer.DEFAULT_LEVELS
-    ex = _extract(args.x, levels, optimizer.EPS_S_MAX)
+    ex = _extract(args.x, levels, optimizer.EPS_S_MAX, warnings)
     eps_s = ex.results[-1].eps_s_star
     if ex.feasible:
         ctx = linewidth.DecayContext(n_vt=args.nvt, eta=math.sqrt(eps_s))
@@ -306,7 +303,8 @@ def _out(text: str) -> None:
 
 
 def _err(text: str) -> None:
-    if sys.stderr is not None:
+    """_out for stderr, but "" is not written: unbuffered, even that reaches the descriptor."""
+    if text and sys.stderr is not None:
         sys.stderr.write(text)
 
 
@@ -332,39 +330,34 @@ def _usage(command: Optional[str]) -> str:
             parts.append(f"[{name} {_metavar(name, convert)}]")
     if command is None:
         parts += ["{" + ",".join(_COMMANDS) + "}", "..."]
-    indent = len("usage: ") + len(parts[0])
-    text, width = "usage:", len("usage:")
-    for i, part in enumerate(parts):
-        if i and width + 1 + len(part) > _WIDTH:
-            text += "\n" + " " * indent
-            width = indent
-        text += " " + part
-        width += 1 + len(part)
-    return text + "\n"
+    lines = ["usage: " + parts[0]]
+    indent = " " * len(lines[0])
+    for part in parts[1:]:
+        if len(lines[-1]) + 1 + len(part) > _WIDTH:
+            lines.append(indent)
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
 
 
 def _help(command: Optional[str]) -> str:
     flags = _COMMANDS[command][2] if command else _TOP_FLAGS
-    options = [(2, "-h, --help", _HELP[3])]
+    options = [("  -h, --help", _HELP[3])]
     options += [
-        (2, name if convert is bool else f"{name} {_metavar(name, convert)}", text)
+        ("  " + (name if convert is bool else f"{name} {_metavar(name, convert)}"), text)
         for name, convert, _, text in flags
     ]
     sections = [("options:", options)]
     head = _usage(command) + "\n"
     if command is None:
         head += "Absorption bounds for a planar-slab beam splitter.\n\n"
-        commands = [(2, "{" + ",".join(_COMMANDS) + "}", None)]
-        commands += [(4, name, spec[0]) for name, spec in _COMMANDS.items()]
+        commands = [("  {" + ",".join(_COMMANDS) + "}", None)]
+        commands += [("    " + name, spec[0]) for name, spec in _COMMANDS.items()]
         sections.insert(0, ("positional arguments:", commands))
-    column = min(24, 2 + max(
-        indent + len(invocation) for _, rows in sections for indent, invocation, _ in rows
-    ))
+    column = min(24, 2 + max(len(invocation) for _, rows in sections for invocation, _ in rows))
     blocks = []
     for title, rows in sections:
         lines = [title]
-        for indent, invocation, text in rows:
-            invocation = " " * indent + invocation
+        for invocation, text in rows:
             if text is None:
                 lines.append(invocation)
             elif len(invocation) <= column - 2:
@@ -484,6 +477,11 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse argv, run its command, write its records; return the exit code.
+
+    The warning lines a command appends to main's list go to stderr after
+    its records, or before the error line of a command that failed.
+    """
     args = _parse(sys.argv[1:] if argv is None else argv)
     if args.constants:
         _out(
@@ -497,6 +495,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     out = args.out
     created = bool(out) and not os.path.exists(out)
+    lines: list = []  # for stderr: the command's warnings, then an error line
     try:
         if out:
             # an unwritable --out fails before any work; "a" keeps the bytes
@@ -504,45 +503,46 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 open(out, "a").close()
             except OSError as exc:
                 raise ValueError(_cannot_write(out, exc)) from None
-        records, code = args.func(args)
+        records, code = args.func(args, lines)
         _emit(records, args.format, out)
-        return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+        lines.append(f"error: {exc}\n")
     except RuntimeError as exc:
-        print(f"error: the constrained solve failed: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+        lines.append(f"error: the constrained solve failed: {exc}\n")
     finally:
         # a command that failed before writing leaves no new empty file
         if created and os.path.isfile(out) and os.path.getsize(out) == 0:
             os.remove(out)
+        _err("".join(lines))
+    return code
 
 
 def app() -> None:
     """The process entry of `bsbound` and `python -m bsbound`: main, flush, exit.
 
     The parser's SystemExit, 0 after --help and 2 on a usage error, ends
-    main with its own code.  stdout and then stderr are flushed here, and
-    the process leaves by os._exit, so no module teardown, atexit hook or
-    final collection runs.  Output that cannot be written (a closed pipe,
-    a full disk) exits 2 with one error line if stderr still takes it;
-    with PYTHONUNBUFFERED it is the write inside main that raises.  Any
-    other exception propagates.
+    main with its own code.  stdout and then stderr are flushed here, each
+    on its own, and the process leaves by os._exit, so no module teardown,
+    atexit hook or final collection runs.  Output that cannot be written,
+    on stdout or stderr, exits 2 with one error line if stderr still takes
+    it, and stdout keeps a record already written; with PYTHONUNBUFFERED
+    it is the write inside main that raises.  Any other exception propagates.
     """
+    failed = None
     try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    except OSError as exc:
+        failed = exc
+    for stream in (sys.stdout, sys.stderr):
         try:
-            code = main()
-        except SystemExit as exc:
-            code = exc.code
-        for stream in (sys.stdout, sys.stderr):
+            if failed is not None and stream is sys.stderr:
+                _err(f"error: cannot write output: {failed.strerror or failed}\n")
             if stream is not None:  # None where the descriptor was closed
                 stream.flush()
-    except OSError as exc:
-        code = 2
-        try:
-            print(f"error: cannot write output: {exc.strerror or exc}",
-                  file=sys.stderr, flush=True)
-        except OSError:
-            pass
-    os._exit(code)
+        except OSError as exc:
+            failed = failed or exc
+    os._exit(2 if failed else code)

@@ -654,7 +654,7 @@ def _receive(fd: int) -> list:
 
 
 def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """[fn(item) for item in items], in up to `workers` processes at once.
+    """[fn(item) for item in items], in up to `workers` processes, one per CPU at most.
 
     The calling process is worker 0 and solves items[0::workers]; each of
     the workers - 1 children forked from it solves items[k::workers] and
@@ -668,7 +668,7 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     first.  Below two workers, without os.fork, or with another thread
     running, the loop runs serially here and forks nothing.
     """
-    workers = min(workers, len(items))
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers < 2 or not hasattr(os, "fork") or not _single_threaded():
         return [fn(item) for item in items]
     children: list[tuple[int, int, int]] = []  # (k, pid, read end) of each live child
@@ -794,19 +794,18 @@ def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
     Per-row infeasibility is recorded in the row, never raised.  With
     jobs > 1 rows are solved by _fork_map in at most jobs processes at
     once, this one included, and never more than one per row or one per
-    CPU (os.cpu_count()); the output order and content, and the exception
-    of a failing row, are identical regardless of jobs.
+    CPU; the output order and content, and the exception of a failing row,
+    are identical regardless of jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     configs = [MinimizeConfig(float(x)) for x in x_values]
     if not configs:
         raise ValueError("x_values must be non-empty")
-    workers = min(jobs, len(configs), os.cpu_count() or 1)
     return tuple(
         SweepRow(
             x=cfg.x_target, alpha=res.alpha, eps_s_star=res.eps_s_star,
             d_star=res.d_star, p_min=res.p_min, feasible=res.feasible,
         )
-        for cfg, res in zip(configs, _minimize_all(configs, workers))
+        for cfg, res in zip(configs, _minimize_all(configs, jobs))
     )

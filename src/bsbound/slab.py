@@ -129,10 +129,8 @@ def _poynting_p(factors: tuple[complex, ...], phase_arg: float) -> float:
     (1 - e^{-2i theta}) / i is written sin(2 theta) - 2i sin(theta)^2.
     No solver path calls it yet; _kernel's p is what evaluate returns.
     """
-    plus_sq, minus_sq, two_i_n, four_n, i_n_minus_1 = factors[:5]
-    den = plus_sq - minus_sq * _exp(two_i_n * phase_arg)
-    t = four_n * _exp(i_n_minus_1 * phase_arg) / den
-    n = four_n / 4
+    t = _kernel(factors, phase_arg)[0]
+    n = factors[3] / 4
     a = (1 + 1 / n) / 2
     b = (1 - 1 / n) / 2
     loss = 2 * n.imag * phase_arg

@@ -1091,6 +1091,96 @@ class TestFailedWrite:
         assert "Exception ignored" not in res.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestUnwritableWarning:
+    """A warning goes to stderr after the record: a stderr that cannot take it
+    exits 2, and stdout keeps the record.
+    """
+
+    WARNS = {
+        "omega": ["bound", "--x", "1", "--omega", "0.6"],
+        "drift": ["minimize", "--x", "1", "--gamma", "0.3", "--omega", "0.3"],
+    }
+    OMEGA_WARNING = ("warning: omega = 0.6 is outside the low-frequency validity range "
+                     "(recommended omega < 0.5)\n")
+
+    @staticmethod
+    def env(cli_env, unbuffered):
+        env = {k: v for k, v in cli_env.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("stderr, code", [
+        ("/dev/full", 2),
+        # what `2>&-` leaves when a launcher, say a shell-script shim, takes
+        # the free fd 2 for a file it reads: writes fail with EBADF
+        ("read-only", 2),
+        # closed for good, sys.stderr is None and takes nothing, as a closed stdout
+        ("closed", 0),
+    ])
+    @pytest.mark.parametrize("name", list(WARNS))
+    def test_record_survives(self, cli_env, name, stderr, code, unbuffered):
+        argv = [sys.executable, "-m", "bsbound", *self.WARNS[name]]
+        env = self.env(cli_env, unbuffered)
+        quiet = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                               env=env, timeout=180)
+        assert quiet.returncode == 0
+        assert quiet.stdout.startswith(b"x,")
+        if stderr == "closed":
+            argv = ["sh", "-c", 'exec "$0" "$@" 2>&-', *argv]
+            res = subprocess.run(argv, stdout=subprocess.PIPE, env=env, timeout=180)
+        else:
+            path, mode = ("/dev/full", "wb") if stderr == "/dev/full" else (os.devnull, "rb")
+            with open(path, mode) as fh:
+                res = subprocess.run(argv, stdout=subprocess.PIPE, stderr=fh, env=env,
+                                     timeout=180)
+        # a traceback would exit 1
+        assert (res.returncode, res.stdout) == (code, quiet.stdout)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_quiet_run_never_writes_stderr(self, cli_env, unbuffered):
+        # not even an empty write, which an unbuffered stderr passes to the descriptor
+        with open(os.devnull, "rb") as read_only:
+            res = subprocess.run(
+                [sys.executable, "-m", "bsbound", *make_goldens.CASES["bound_headline.csv"]],
+                stdout=subprocess.PIPE, stderr=read_only, env=self.env(cli_env, unbuffered),
+                timeout=180,
+            )
+        assert (res.returncode, res.stdout) == (0, (GOLDEN / "bound_headline.csv").read_bytes())
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_warning_then_error_line(self, cli_env, unbuffered):
+        # the omega warning is written before the failed solve's error line
+        res = subprocess.run(
+            [sys.executable, "-m", "bsbound", "bound", "--x", "1e8", "--omega", "0.6"],
+            capture_output=True, text=True, env=self.env(cli_env, unbuffered), timeout=180,
+        )
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith(self.OMEGA_WARNING + "error: the constrained solve failed: ")
+        assert res.stderr.count("\n") == 2
+
+    def test_closed_stderr_puts_nothing_on_stdout(self, cli_env):
+        # print(file=None) would write the warning and the error line to stdout
+        res = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m bsbound "$@" 2>&-', sys.executable,
+             "bound", "--x", "1e8", "--omega", "0.6"],
+            stdout=subprocess.PIPE, env=cli_env, timeout=180,
+        )
+        assert (res.returncode, res.stdout) == (2, b"")
+
+    def test_unbuffered_warning_follows_the_record(self, cli_env):
+        res = subprocess.run(
+            [sys.executable, "-m", "bsbound", *self.WARNS["omega"]],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=self.env(cli_env, True), timeout=180,
+        )
+        assert res.returncode == 0
+        assert res.stdout.startswith("x,")
+        assert res.stdout.endswith(",true\n" + self.OMEGA_WARNING)
+
+
 class TestGolden:
     """Frozen output formats; regenerate with scripts/make_goldens.py."""
 
@@ -1098,6 +1188,19 @@ class TestGolden:
     def test_output_matches_golden(self, run_cli, name):
         res = run_cli(*make_goldens.CASES[name])
         assert res.stdout == (GOLDEN / name).read_text()
+
+    def test_make_goldens_leaves_identical_bytes_alone(self, tmp_path, capsys):
+        # an unchanged _scan_valleys.py keeps its mtime, so its cached bytecode stays valid
+        path = tmp_path / "golden.csv"
+        make_goldens._write(path, "a,b\n")
+        os.utime(path, (0, 0))
+        make_goldens._write(path, "a,b\n")
+        assert path.stat().st_mtime == 0
+        make_goldens._write(path, "a,c\n")
+        assert (path.read_bytes(), path.stat().st_mtime > 0) == (b"a,c\n", True)
+        assert capsys.readouterr().out.split() == [
+            "wrote", str(path), "unchanged", str(path), "wrote", str(path),
+        ]
 
     def test_every_golden_file_is_generated(self):
         generated = {*make_goldens.CASES, make_goldens.SOLVER_GOLDEN}

@@ -425,6 +425,12 @@ class TestSweep:
         assert sweep(xs, jobs=5000) == sweep(xs)
         assert len(failing_forks) == children
 
+    def test_fork_map_applies_the_cpu_cap(self, failing_forks, monkeypatch):
+        # the one owner of the cap: callers pass the processes they could use
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert optimizer._fork_map(abs, [-1, 2, -3, 4, -5], 99) == [1, 2, 3, 4, 5]
+        assert len(failing_forks) == 2
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected_before_any_row(self, monkeypatch, jobs):
         solved = []
