@@ -27,7 +27,6 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import Optional, Sequence
 
 from . import linewidth, optimizer, slab
 

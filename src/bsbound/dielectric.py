@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from typing import Sequence
 
 __all__ = [
     "Resonance",
@@ -175,19 +174,28 @@ def susceptibility(model: DrudeLorentzModel, omega: float) -> complex:
         raise ValueError(f"susceptibility pole at omega = {omega} for gamma = 0") from None
 
 
+def _principal_root(eps: complex) -> tuple[float, float]:
+    """(eta, kappa) of the principal sqrt(eps), a kappa of -0.0 read as 0.0.
+
+    Raises ValueError for eps on the negative real axis, where the branch
+    is undefined.  Checks nothing else: refractive_index's ComplexIndex
+    does, and slab's record-free index applies the same checks itself.
+    """
+    if eps.imag == 0.0 and eps.real <= 0.0:
+        raise ValueError(
+            f"permittivity {eps} on the negative real axis; branch undefined"
+        )
+    n = cmath.sqrt(eps)
+    return n.real, n.imag if n.imag != 0.0 else 0.0
+
+
 def refractive_index(model: DrudeLorentzModel, omega: float) -> ComplexIndex:
     """n = sqrt(1 + chi) with eta > 0, kappa >= 0.
 
     Since Im(1 + chi) > 0 for omega > 0, the principal square root already
     lands on the physical branch; no branch tracking is needed.
     """
-    eps = 1.0 + susceptibility(model, omega)
-    if eps.imag == 0.0 and eps.real <= 0.0:
-        raise ValueError(
-            f"permittivity {eps} on the negative real axis; branch undefined"
-        )
-    n = cmath.sqrt(eps)
-    return ComplexIndex(n.real, n.imag if n.imag != 0.0 else 0.0)
+    return ComplexIndex(*_principal_root(1.0 + susceptibility(model, omega)))
 
 
 def low_frequency_approx(model: DrudeLorentzModel, omega: float) -> ComplexIndex:

@@ -31,7 +31,9 @@ and x come from the evaluation brentq made at that phase.  Results depend
 on none of these: a stored valley or a table row gives the floats a fresh
 search would.
 MinimizeDiagnostics.slab_evaluations counts the _kernel calls a call
-makes, so a shipped or reused evaluation counts nothing.
+makes, so a shipped or reused evaluation counts nothing.  A slice's
+index comes from slab._index_pair as floats, so a solve builds no
+Resonance, DrudeLorentzModel or ComplexIndex record.
 
 sweep(jobs > 1) and the CLI's ladder solve their minimizations in forked
 processes by _fork_map; the library's defaults fork nothing.
@@ -45,12 +47,11 @@ import math
 import os
 import sys
 from collections import namedtuple
-from typing import Callable, NamedTuple, Optional, Sequence
 
 from .dielectric import _Checked
-from .slab import ScaledSlabParams, _airy_factors, _kernel, working_index
+from .slab import ScaledSlabParams, _airy_factors, _index_pair, _kernel
 # unused here, but bench/tracer.py patches these names in this module
-from .slab import reflection, transmission  # noqa: F401
+from .slab import reflection, transmission, working_index  # noqa: F401
 
 __all__ = [
     "MinimizeConfig",
@@ -68,6 +69,9 @@ __all__ = [
     "EPS_S_MAX",
     "WORKING_POINT",
 ]
+
+# builds _Root and _Valley records in C, as slab.evaluate builds its SlabResponse
+_tuple_new = tuple.__new__
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BRANCHES = ("first", "second")
@@ -153,7 +157,13 @@ class MinimizeConfig(
             )
 
 
-class MinimizeDiagnostics(NamedTuple):
+class MinimizeDiagnostics(
+    namedtuple(
+        "MinimizeDiagnostics",
+        "constraint_residual scan_feasible refine_iterations slab_evaluations "
+        "rejected_branch_p",
+    )
+):
     """Work and margins of one minimization.
 
     slab_evaluations counts the slab._kernel calls it makes: a shipped
@@ -161,14 +171,15 @@ class MinimizeDiagnostics(NamedTuple):
     depend on what the process solved before.
     """
 
-    constraint_residual: float
-    scan_feasible: int
-    refine_iterations: int
-    slab_evaluations: int
-    rejected_branch_p: float
+    __slots__ = ()
 
 
-class MinimizeResult(NamedTuple):
+class MinimizeResult(
+    namedtuple(
+        "MinimizeResult",
+        "alpha eps_s_star d_star p_min phi_star branch feasible diagnostics",
+    )
+):
     """Optimum of one constrained minimization.
 
     alpha = p_min / (gamma_tilde * omega_tilde) is the working-point
@@ -176,33 +187,23 @@ class MinimizeResult(NamedTuple):
     NaN numeric fields and branch "none".
     """
 
-    alpha: float
-    eps_s_star: float
-    d_star: float
-    p_min: float
-    phi_star: float
-    branch: str
-    feasible: bool
-    diagnostics: MinimizeDiagnostics
+    __slots__ = ()
 
 
-class AlphaExtraction(NamedTuple):
+class AlphaExtraction(
+    namedtuple("AlphaExtraction", "alpha drift scaling_ok feasible results")
+):
     """alpha from a ladder of shrinking (gamma_tilde, omega_tilde) levels."""
 
-    alpha: float
-    drift: float
-    scaling_ok: bool
-    feasible: bool
-    results: tuple[MinimizeResult, ...]
+    __slots__ = ()
 
 
-class SweepRow(NamedTuple):
-    x: float
-    alpha: float
-    eps_s_star: float
-    d_star: float
-    p_min: float
-    feasible: bool
+class SweepRow(
+    namedtuple("SweepRow", "x alpha eps_s_star d_star p_min feasible")
+):
+    """One ratio of a sweep: its default minimization's optimum."""
+
+    __slots__ = ()
 
 
 def _golden_min(
@@ -311,26 +312,26 @@ def brentq(
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
-class _Root(NamedTuple):
+class _Root(namedtuple("_Root", "p eps_s branch d phi residual")):
     """One root of an eps_s slice: thickness d meets x_target.
 
     phi is the optical phase at the working frequency, index.eta *
     omega_tilde * d; residual is |x - x_target| / x_target.
     """
 
-    p: float
-    eps_s: float
-    branch: str
-    d: float
-    phi: float
-    residual: float
+    __slots__ = ()
 
 
 # the optimum of a minimization in which no slice reaches the target ratio
 _NO_ROOT = _Root(math.nan, math.nan, "none", math.nan, math.nan, math.nan)
 
 
-class _Valley(NamedTuple):
+class _Valley(
+    namedtuple(
+        "_Valley",
+        "eta0 eta factors phi_valley ln_x_valley ln_x_lo ln_x_hi evaluations",
+    )
+):
     """The ratio-independent part of an eps_s slice solve, built by _new_valley.
 
     eta0 = sqrt(eps_s), eta is the working index's real part, factors are
@@ -341,14 +342,7 @@ class _Valley(NamedTuple):
     shipped row, the golden search's and the two ends' from a search.
     """
 
-    eta0: float
-    eta: float
-    factors: tuple[complex, ...]
-    phi_valley: float
-    ln_x_valley: float
-    ln_x_lo: float
-    ln_x_hi: float
-    evaluations: int
+    __slots__ = ()
 
     @property
     def row(self) -> tuple[float, float, float, float]:
@@ -366,18 +360,21 @@ def _new_valley(
     _Valley.row.
     """
     eta0 = math.sqrt(eps_s)
-    # looked up at call time, so a patched working_index sees every call
-    index = working_index(eps_s, gamma_tilde, omega_tilde)
+    # the index's floats, built without a record; looked up at call time, so
+    # a patched _index_pair sees every call
+    index = _index_pair(eps_s, gamma_tilde, omega_tilde)
     factors = _airy_factors(index)
     if row is not None:
-        return _Valley(eta0, index.eta, factors, *row, 0)
+        return _tuple_new(_Valley, (eta0, index[0], factors, *row, 0))
 
     def ln_ratio(phi: float) -> float:
         return math.log(_kernel(factors, phi / eta0)[3])
 
     phi_valley, ln_x_valley, iters = _golden_min(ln_ratio, _PHI_LO, _PHI_HI)
     ends = ln_ratio(_PHI_LO), ln_ratio(_PHI_HI)
-    return _Valley(eta0, index.eta, factors, phi_valley, ln_x_valley, *ends, iters + 4)
+    return _tuple_new(
+        _Valley, (eta0, index[0], factors, phi_valley, ln_x_valley, *ends, iters + 4)
+    )
 
 
 @functools.cache
@@ -477,7 +474,7 @@ def _solve_slice(
                 f"x={x_target}, branch={branch}"
             )
         d = phi / (eta0 * omega_tilde)
-        roots.append(_Root(p, eps_s, branch, d, eta * omega_tilde * d, residual))
+        roots.append(_tuple_new(_Root, (p, eps_s, branch, d, eta * omega_tilde * d, residual)))
     return roots, evals
 
 

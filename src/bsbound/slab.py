@@ -11,10 +11,10 @@ import cmath
 import functools
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .dielectric import (
-    ComplexIndex, DrudeLorentzModel, Resonance, _Checked, refractive_index,
+    ComplexIndex, DrudeLorentzModel, Resonance, _Checked, _chi, _principal_root,
+    refractive_index,
 )
 
 __all__ = [
@@ -57,7 +57,7 @@ class ScaledSlabParams(
             raise ValueError(f"eps_s must exceed 1, got {eps_s}")
 
 
-class SlabResponse(NamedTuple):
+class SlabResponse(namedtuple("SlabResponse", "t r p x")):
     """Amplitudes and scalar figures at one working point.
 
     p = 1 - |t|^2 - |r|^2 by construction, never non-finite from evaluate;
@@ -65,21 +65,20 @@ class SlabResponse(NamedTuple):
     while |t|^2 and |r|^2 are resolved in floating point: an amplitude
     below about 1e-162 squares to 0.0 and a square within about 1e-16 of
     1 rounds to 1, so p can read 0.0, and x inf or 0.0, at gamma > 0.
+    t and r are complex, p and x float.
     """
 
-    t: complex
-    r: complex
-    p: float
-    x: float
+    __slots__ = ()
 
 
-def _airy_factors(n: ComplexIndex) -> tuple[complex, ...]:
+def _airy_factors(n: tuple[float, float]) -> tuple[complex, ...]:
     """Index-only factors of the Airy formulas in _kernel.
 
+    n is an (eta, kappa) pair, a ComplexIndex or _index_pair's tuple.
     Returns ((1+n)^2, (1-n)^2, 2i*n, 4n, i*(n-1), (n-1)/(n+1), i*(n+1))
-    with n as a complex number.
+    with n as the complex number eta + i*kappa.
     """
-    nc = n.as_complex
+    nc = complex(*n)
     return (
         (1 + nc) ** 2, (1 - nc) ** 2, 2j * nc, 4 * nc, 1j * (nc - 1),
         (nc - 1) / (nc + 1), 1j * (nc + 1),
@@ -154,12 +153,39 @@ def reflection(n: ComplexIndex, phase_arg: float) -> complex:
     return _kernel(_airy_factors(n), phase_arg)[1]
 
 
-def working_index(eps_s: float, gamma_tilde: float, omega_tilde: float) -> ComplexIndex:
-    """Index of the single-resonance slab at the scaled working point."""
+def _index_pair(eps_s: float, gamma_tilde: float, omega_tilde: float) -> tuple[float, float]:
+    """(eta, kappa) of the single-resonance slab's index, built from floats.
+
+    The floats of refractive_index(DrudeLorentzModel([Resonance(1.0,
+    sqrt(eps_s - 1), gamma_tilde)]), omega_tilde), from the same
+    dielectric._chi and _principal_root, but no record is built.  Where
+    one of that chain's checks would fail, or susceptibility would retry
+    a NaN, the chain itself runs instead: it raises what it raises, or
+    returns its ComplexIndex.  The solver takes a slice's index here.
+    """
+    try:
+        wp2 = math.sqrt(eps_s - 1.0) ** 2
+        if wp2 < math.inf and 0.0 <= gamma_tilde < math.inf and 0.0 <= omega_tilde < math.inf:
+            # a NaN chi, where susceptibility retries, gives a NaN or infinite eta
+            pair = _principal_root(1.0 + _chi(((1.0, wp2, gamma_tilde),), omega_tilde))
+            if 0.0 < pair[0] < math.inf and 0.0 <= pair[1] < math.inf:
+                return pair
+    except (ArithmeticError, TypeError, ValueError):
+        pass
+    # outside the except clause, so the chain's exception carries no context
     model = DrudeLorentzModel(
         [Resonance(omega_t=1.0, omega_p=math.sqrt(eps_s - 1.0), gamma=gamma_tilde)]
     )
     return refractive_index(model, omega_tilde)
+
+
+def working_index(eps_s: float, gamma_tilde: float, omega_tilde: float) -> ComplexIndex:
+    """Index of the single-resonance slab at the scaled working point.
+
+    The checked record of _index_pair's floats; the solver takes the
+    floats alone, so a solve calls this function nowhere.
+    """
+    return ComplexIndex(*_index_pair(eps_s, gamma_tilde, omega_tilde))
 
 
 @functools.lru_cache(maxsize=_FACTOR_MEMO_SIZE)
@@ -168,6 +194,7 @@ def _working_factors(
 ) -> tuple[complex, ...]:
     """_airy_factors of working_index, memoized per process.
 
+    The floats are _index_pair's, which the solver takes too.
     working_index is looked up at call time, so a patched name sees every
     miss.  A raise is not stored: the same inputs raise again on the next
     call.

@@ -780,6 +780,15 @@ class TestImports:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_cli_import_loads_neither_typing_nor_re(self, cli_env):
+        # -S, because a site .pth file may import typing, which imports re
+        code = "import sys, bsbound.cli\nprint(sorted({'typing', 're'} & set(sys.modules)))\n"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+            env=cli_env, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_cli_process_loads_no_argparse_gettext_or_locale(self, cli_env):
         # python -m bsbound bound ..., with main wrapped to list them on its return
         code = (

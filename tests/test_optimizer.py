@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from bsbound import _scan_valleys, optimizer
+from bsbound.dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refractive_index
 from bsbound.optimizer import (
     EPS_S_MAX,
     EPS_S_MIN,
@@ -470,7 +471,7 @@ class TestValleyStore:
         self, cold_process, monkeypatch
     ):
         optimizer._scan_table()
-        index_calls = count_calls(monkeypatch, "working_index")
+        index_calls = count_calls(monkeypatch, "_index_pair")
         kernel_calls = count_calls(monkeypatch, "_kernel")
         key = (SCAN_GRID[100], *optimizer.DEFAULT_LEVELS[1])
         first = optimizer._slice_valley(*key)
@@ -488,7 +489,7 @@ class TestValleyStore:
         self, eps_s, gamma_tilde, omega_tilde, monkeypatch
     ):
         optimizer._scan_table()
-        index_calls = count_calls(monkeypatch, "working_index")
+        index_calls = count_calls(monkeypatch, "_index_pair")
         kernel_calls = count_calls(monkeypatch, "_kernel")
         first = optimizer._slice_valley(eps_s, gamma_tilde, omega_tilde)
         assert (index_calls(), kernel_calls()) == (1, first.evaluations)
@@ -510,12 +511,30 @@ class TestValleyStore:
 
     def test_warm_solve_searches_its_refinement_slices_only(self, monkeypatch):
         minimize_absorption(MinimizeConfig(x_target=1.0))
-        index_calls = count_calls(monkeypatch, "working_index")
+        index_calls = count_calls(monkeypatch, "_index_pair")
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
         # both branches are refined, each golden search on iterations + 2 new
         # slices; the scan slices come from the table
         assert math.isfinite(res.diagnostics.rejected_branch_p)
         assert index_calls() == res.diagnostics.refine_iterations + 2 * len(optimizer._BRANCHES)
+
+
+class TestRecordFreeSolve:
+    """A solve takes each slice's index as floats, building no record."""
+
+    def test_cold_minimize_builds_no_index_record(self, cold_process, monkeypatch):
+        built = []
+        for cls in (Resonance, DrudeLorentzModel, ComplexIndex):
+            def counted(klass, *args, _new=cls.__new__, **kwargs):
+                built.append(klass.__name__)
+                return _new(klass, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__new__", counted)
+        refractive_index(DrudeLorentzModel([Resonance(1.0, 2.0, 1e-3)]), 1e-3)
+        assert built == ["Resonance", "DrudeLorentzModel", "ComplexIndex"]
+        built.clear()
+        res = minimize_absorption(MinimizeConfig(1.0))
+        assert res.feasible and built == []
 
 
 # scan-grid and off-grid slices, at the default and another working point

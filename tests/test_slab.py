@@ -233,6 +233,70 @@ class TestFactorMemo:
         assert slab._working_factors.cache_info().currsize == slab._FACTOR_MEMO_SIZE
 
 
+def index_outcome(call):
+    """reprs of eta and of every Airy factor of call()'s index, or the
+    type and message of its exception.
+
+    repr tells -0.0 from 0.0 in every float and complex part.
+    """
+    try:
+        n = call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return [repr(n[0]), *map(repr, _airy_factors(n))]
+
+
+def record_index(eps_s, gamma, omega):
+    """The slab's index through the checked records: the reference chain."""
+    model = DrudeLorentzModel([Resonance(1.0, math.sqrt(eps_s - 1.0), gamma)])
+    return refractive_index(model, omega)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+# susceptibility retries where omega**2 and gamma*omega overflow, so chi is NaN
+NAN_RETRY_POINTS = [(2.0, 1e154, 1e155), (2.0, 1e100, 1e300)]
+
+
+class TestRecordFreeIndex:
+    """slab._index_pair, the index a solve takes, builds no record but
+    gives the record chain's floats, or raises its exception."""
+
+    @given(
+        eps_s=st.one_of(
+            st.floats(-6.0, 300.0).map(lambda e: 1.0 + 10.0**e),
+            st.floats(),
+            st.sampled_from([1.0, 6.2]),
+        ),
+        gamma=st.one_of(
+            st.sampled_from(SPECIAL_FLOATS),
+            st.floats(0.0, 1e3),
+            st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        ),
+        omega=st.one_of(
+            st.sampled_from(SPECIAL_FLOATS),
+            st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        ),
+    )
+    @example(1.0 + 1e-6, 1e-3, 1e-3)
+    @example(1.0 + 1e300, 1e-3, 1e-3)
+    @example(6.2, 0.0, 1.0)  # the gamma = 0 pole of TestFactorMemo
+    @example(*NAN_RETRY_POINTS[0])
+    @example(*NAN_RETRY_POINTS[1])
+    @settings(max_examples=1000, deadline=None)
+    def test_same_floats_or_exception_as_the_record_chain(self, eps_s, gamma, omega):
+        expected = index_outcome(lambda: record_index(eps_s, gamma, omega))
+        assert index_outcome(lambda: slab._index_pair(eps_s, gamma, omega)) == expected
+        assert index_outcome(lambda: working_index(eps_s, gamma, omega)) == expected
+
+    def test_examples_reach_the_pole_and_the_nan_retry(self):
+        with pytest.raises(ZeroDivisionError):
+            slab._chi(((1.0, 6.2 - 1.0, 0.0),), 1.0)
+        for eps_s, gamma, omega in NAN_RETRY_POINTS:
+            chi = slab._chi(((1.0, eps_s - 1.0, gamma),), omega)
+            assert chi != chi
+            assert math.isfinite(record_index(eps_s, gamma, omega).eta)
+
+
 class TestEvaluate:
     def test_zero_thickness_identity(self):
         resp = evaluate(ScaledSlabParams(omega_tilde=0.3, gamma_tilde=0.1, d=0.0, eps_s=6.2))
