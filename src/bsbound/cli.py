@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 from . import linewidth, optimizer, slab
@@ -39,7 +40,7 @@ def _fmt(value: object) -> str:
     return str(value)  # a float's str is its shortest round-trip repr
 
 
-def _emit(records: list, fmt: str, out: Optional[str]) -> None:
+def _emit(records: list, fmt: str, out: str | None) -> None:
     if fmt == "csv":
         keys = [k for k, _ in records[0]]
         lines = [",".join(keys)]
@@ -307,7 +308,7 @@ def _err(text: str) -> None:
         sys.stderr.write(text)
 
 
-def _prog(command: Optional[str]) -> str:
+def _prog(command: str | None) -> str:
     return "bsbound" if command is None else f"bsbound {command}"
 
 
@@ -317,7 +318,7 @@ def _metavar(name: str, convert) -> str:
     return _dest(name).upper()
 
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: str | None) -> str:
     flags = _COMMANDS[command][2] if command else _TOP_FLAGS
     parts = [_prog(command), "[-h]"]
     for name, convert, default, _ in flags:
@@ -338,7 +339,7 @@ def _usage(command: Optional[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _help(command: Optional[str]) -> str:
+def _help(command: str | None) -> str:
     flags = _COMMANDS[command][2] if command else _TOP_FLAGS
     options = [("  -h, --help", _HELP[3])]
     options += [
@@ -367,13 +368,13 @@ def _help(command: Optional[str]) -> str:
     return head + "\n".join(blocks)
 
 
-def _fail(command: Optional[str], message: str):
+def _fail(command: str | None, message: str):
     """A usage error: the usage and one error line on stderr, then SystemExit(2)."""
     _err(f"{_usage(command)}{_prog(command)}: error: {message}\n")
     raise SystemExit(2)
 
 
-def _find(command: Optional[str], flags: Sequence, token: str):
+def _find(command: str | None, flags: Sequence, token: str):
     """The flag a token names and its "=" value, (None, None) for a token that
     looks like a flag but names none, or None for a value or a positional.
 
@@ -401,7 +402,7 @@ def _find(command: Optional[str], flags: Sequence, token: str):
     return None
 
 
-def _convert(command: Optional[str], label: str, convert, text: str):
+def _convert(command: str | None, label: str, convert, text: str):
     if isinstance(convert, tuple):
         if text in convert:
             return text
@@ -415,7 +416,7 @@ def _convert(command: Optional[str], label: str, convert, text: str):
     _fail(command, f"argument {label}: {message}")
 
 
-def _read(command: Optional[str], flags: Sequence, tokens: list, args, extras: list) -> int:
+def _read(command: str | None, flags: Sequence, tokens: list, args, extras: list) -> int:
     """Store in args what the flags among tokens give, and put in extras each
     token that no flag takes.  At the top level (command None) stop at the
     first positional token; return the index where reading stopped.
@@ -475,7 +476,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
     return args
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run its command, write its records; return the exit code.
 
     The warning lines a command appends to main's list go to stderr after

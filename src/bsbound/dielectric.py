@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 
 __all__ = [
     "Resonance",

@@ -9,8 +9,10 @@ The search works in the optical phase phi = eta0 * omega_tilde * d, where
 eta0 = sqrt(eps_s).  Within one interference period phi in (0, pi) the
 ratio x(phi) falls from large values to a single valley and rises again,
 so a target ratio has at most two roots ("first" below the valley,
-"second" above).  The outer search scans eps_s geometrically and refines
-the best bracket by golden section, separately per branch.
+"second" above).  The outer search scans eps_s geometrically, solving
+both branches, and refines by golden section only the best bracket of
+the branch whose lowest scan p wins; the other branch is refined only if
+that search finds no root.
 
 One slice solve serves minimize_absorption and solve_thickness_for_ratio;
 in both, a root that misses MinimizeConfig.constraint_rtol raises
@@ -47,6 +49,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .dielectric import _Checked
 from .slab import ScaledSlabParams, _airy_factors, _index_pair, _kernel
@@ -90,7 +93,7 @@ _MAXITER = 100
 _GOLDEN_RTOL = 1e-7
 # eps_s slices of the outer scan
 _SCAN_POINTS = 256
-# a later branch must undercut the earlier one's p by this fraction to win
+# the second branch must undercut the first's lowest scan p by this fraction to win
 _OBJECTIVE_RTOL = 1e-8
 # inter-level alpha drift above which the separable scaling is not trusted
 _DRIFT_TOL = 0.01
@@ -168,7 +171,11 @@ class MinimizeDiagnostics(
 
     slab_evaluations counts the slab._kernel calls it makes: a shipped
     valley and the table's load check count none, so the count does not
-    depend on what the process solved before.
+    depend on what the process solved before.  refine_iterations sums the
+    iterations of the golden searches that ran: the scan winner's, and
+    the other branch's only if the winner's found no root.
+    rejected_branch_p is the lowest scan p of the branch not returned,
+    unrefined; NaN if that branch has no scan root or nothing is feasible.
     """
 
     __slots__ = ()
@@ -351,7 +358,7 @@ class _Valley(
 
 
 def _new_valley(
-    eps_s: float, gamma_tilde: float, omega_tilde: float, row: Optional[tuple] = None
+    eps_s: float, gamma_tilde: float, omega_tilde: float, row: tuple | None = None
 ) -> _Valley:
     """_Valley of one slice, from its shipped row or, without one, a search.
 
@@ -484,7 +491,7 @@ def solve_thickness_for_ratio(
     gamma_tilde: float = WORKING_POINT[0],
     omega_tilde: float = WORKING_POINT[1],
     branch: str = "first",
-) -> Optional[float]:
+) -> float | None:
     """Scaled thickness d with evaluate(...).x == x_target, or None.
 
     The phase is restricted to the first interference period; `branch`
@@ -518,9 +525,11 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     """Minimum absorption over eps_s and thickness at a fixed ratio.
 
     Scans eps_s from EPS_S_MIN to config.eps_s_max (skipping slices that
-    cannot reach x_target even without loss), golden-section refines the
-    best bracket of each branch, and reports the better branch.  Ties
-    within the objective tolerance go to the thinner slab.  A root that
+    cannot reach x_target even without loss) and picks the branch with the
+    lower scan p; ties within the objective tolerance go to the thinner
+    slab, the first branch.  Only that branch's best bracket is
+    golden-section refined and reported, unless its refinement finds no
+    root: then the other branch is refined and reported.  A root that
     misses the ratio by more than config.constraint_rtol raises
     RuntimeError.  A feasible optimum with p_min <= 0, a working point
     below the resolution of p, raises ValueError.
@@ -554,13 +563,17 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
             if root.branch not in best or root.p < best[root.branch][0]:
                 best[root.branch] = (root.p, i)
 
+    # (scan p, slice index, branch) of each branch with a root, the winner
+    # first: smaller p wins; ties within the objective tolerance go to the
+    # thinner slab, which is the first branch
+    ranked = [(*best[branch], branch) for branch in _BRANCHES if branch in best]
+    if len(ranked) == 2 and ranked[1][0] < ranked[0][0] * (1.0 - _OBJECTIVE_RTOL):
+        ranked.reverse()
+
+    # the winner is refined; the other branch only if that search finds no root
     refine_iters = 0
-    # each branch's refined optimum
-    optima: list[_Root] = []
-    for branch in _BRANCHES:
-        if branch not in best:
-            continue
-        i = best[branch][1]
+    chosen = _NO_ROOT
+    for _, i, branch in ranked:
         # eps_s -> root; the golden search returns one of its points
         refined: dict[float, _Root] = {}
 
@@ -575,13 +588,10 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         )
         refine_iters += iters
         if math.isfinite(p_star):
-            optima.append(refined[eps_star])
-
-    # smaller p wins; ties within the objective tolerance go to the thinner
-    # slab, which is the first branch
-    if len(optima) == 2 and optima[1].p < optima[0].p * (1.0 - _OBJECTIVE_RTOL):
-        optima.reverse()
-    chosen = optima[0] if optima else _NO_ROOT
+            chosen = refined[eps_star]
+            break
+    feasible = chosen is not _NO_ROOT
+    rejected = [p for p, _, branch in ranked if branch != chosen.branch]
     if chosen.p <= 0.0:
         raise ValueError(
             f"p_min = {chosen.p!r} is not positive at gamma*omega = "
@@ -596,13 +606,13 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         p_min=chosen.p,
         phi_star=chosen.phi,
         branch=chosen.branch,
-        feasible=bool(optima),
+        feasible=feasible,
         diagnostics=MinimizeDiagnostics(
             constraint_residual=chosen.residual,
             scan_feasible=scan_feasible,
             refine_iterations=refine_iters,
             slab_evaluations=evals,
-            rejected_branch_p=optima[1].p if len(optima) == 2 else math.nan,
+            rejected_branch_p=rejected[0] if feasible and rejected else math.nan,
         ),
     )
 
@@ -688,7 +698,7 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
             os.close(w)
             children.append((k, pid, r))
         values: dict[int, object] = {}
-        raised: Optional[tuple[int, Exception]] = None
+        raised: tuple[int, Exception] | None = None
         for i in range(0, len(items), workers):
             try:
                 values[i] = fn(items[i])

@@ -6,6 +6,9 @@ mpmath at 50 digits, the minimization oracle is a brute-force grid
 search over (eps_s, d) with local refinement, alpha0 is the
 closed-form leading order of alpha, and build_parser is the argparse
 parser the CLI used before it read its command line from a flag table.
+minimize_both_branches is the exception: it is the eps_s search the
+package ran before it refined only the branch that wins the scan, built
+from the package's own scan grid, slice solve and golden search.
 """
 
 from __future__ import annotations
@@ -13,10 +16,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from bsbound import optimizer
 
 # --- transfer-matrix slab oracle -------------------------------------------
 
@@ -265,6 +271,96 @@ def alpha0_min(x: float, eps_min: float, eps_max: float) -> tuple[float, float]:
     # the minimum may sit on a scanned end, which bounded Brent never evaluates
     return min((float(res.x), float(res.fun)), (float(grid[k]), alpha0(grid[k], x)),
                key=lambda pair: pair[1])
+
+
+# --- the two-branch eps_s search ---------------------------------------------
+
+def minimize_both_branches(
+    config: optimizer.MinimizeConfig,
+) -> tuple[optimizer.MinimizeResult, list[tuple[str, float]]]:
+    """minimize_absorption with both branches golden-refined.
+
+    Scans eps_s as the package does, refines the best scan slice of each
+    branch, and picks between the refined optima: the second wins only if
+    its p undercuts the first's by optimizer._OBJECTIVE_RTOL.  Returns the
+    result and (branch, lowest scan p) of each branch with a scan root,
+    the branch that wins the scan by the same rule first.
+    rejected_branch_p is the losing branch's refined p, and
+    refine_iterations and slab_evaluations count both refinements.
+    """
+    grid = optimizer._scan_grid(config.eps_s_max)
+    x_target, gamma_tilde, omega_tilde = config[:3]
+    evals = scan_feasible = refine_iters = 0
+
+    def solve(eps, branches):
+        nonlocal evals
+        roots, n = optimizer._solve_slice(eps, gamma_tilde, omega_tilde, x_target, branches)
+        evals += n
+        return roots
+
+    def wins(p, q):
+        # p of the second branch against q of the first
+        return p < q * (1.0 - optimizer._OBJECTIVE_RTOL)
+
+    best = {}  # branch -> (scan p, slice index)
+    for i, eps in enumerate(grid):
+        if 4.0 * eps / (x_target * (eps - 1.0) ** 2) > 1.05:
+            continue
+        roots = solve(eps, optimizer._BRANCHES)
+        scan_feasible += bool(roots)
+        for root in roots:
+            if root.branch not in best or root.p < best[root.branch][0]:
+                best[root.branch] = (root.p, i)
+    scan = [(branch, best[branch][0]) for branch in optimizer._BRANCHES if branch in best]
+    if len(scan) == 2 and wins(scan[1][1], scan[0][1]):
+        scan.reverse()
+
+    optima = []
+    for branch in optimizer._BRANCHES:
+        if branch not in best:
+            continue
+        i = best[branch][1]
+        refined = {}
+
+        def p_of_eps(eps):
+            for root in solve(eps, (branch,)):
+                refined[eps] = root
+                return root.p
+            return math.inf
+
+        eps_star, p_star, iters = optimizer._golden_min(
+            p_of_eps, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        )
+        refine_iters += iters
+        if math.isfinite(p_star):
+            optima.append(refined[eps_star])
+    if len(optima) == 2 and wins(optima[1].p, optima[0].p):
+        optima.reverse()
+    chosen = optima[0] if optima else optimizer._NO_ROOT
+    if chosen.p <= 0.0:
+        raise ValueError(
+            f"p_min = {chosen.p!r} is not positive at gamma*omega = "
+            f"{gamma_tilde * omega_tilde!r}: "
+            f"p = 1 - |t|^2 - |r|^2 resolves absorption only to about "
+            f"{sys.float_info.epsilon!r}, so raise gamma_tilde or omega_tilde"
+        )
+    result = optimizer.MinimizeResult(
+        alpha=chosen.p / (gamma_tilde * omega_tilde),
+        eps_s_star=chosen.eps_s,
+        d_star=chosen.d,
+        p_min=chosen.p,
+        phi_star=chosen.phi,
+        branch=chosen.branch,
+        feasible=bool(optima),
+        diagnostics=optimizer.MinimizeDiagnostics(
+            constraint_residual=chosen.residual,
+            scan_feasible=scan_feasible,
+            refine_iterations=refine_iters,
+            slab_evaluations=evals,
+            rejected_branch_p=optima[1].p if len(optima) == 2 else math.nan,
+        ),
+    )
+    return result, scan
 
 
 # --- the argparse command line -------------------------------------------------

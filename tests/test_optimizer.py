@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -5,11 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from bsbound import _scan_valleys, optimizer
 from bsbound.dielectric import ComplexIndex, DrudeLorentzModel, Resonance, refractive_index
 from bsbound.optimizer import (
+    DEFAULT_LEVELS,
     EPS_S_MAX,
     EPS_S_MIN,
     MinimizeConfig,
@@ -20,8 +24,8 @@ from bsbound.optimizer import (
     sweep,
 )
 from bsbound.slab import ScaledSlabParams, _airy_factors, _kernel, evaluate, working_index
-from conftest import GOLDEN, make_goldens
-from oracles import alpha0, alpha0_min
+from conftest import GOLDEN, REPO, make_goldens
+from oracles import alpha0, alpha0_min, minimize_both_branches
 
 INF, NAN = math.inf, math.nan
 
@@ -228,7 +232,7 @@ class TestMinimize:
         # deterministic work counter: a change of it is a change of the solve;
         # checked from a cold process, whose table load check counts nothing
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
-        assert res.diagnostics.slab_evaluations == 4668
+        assert res.diagnostics.slab_evaluations == 2981
 
     def test_kernel_call_count(self, cold_process, monkeypatch):
         # scan valleys and period ends come from the table the x = 1 solve
@@ -236,11 +240,11 @@ class TestMinimize:
         minimize_absorption(MinimizeConfig(x_target=1.0))
         calls = count_calls(monkeypatch, "_kernel")
         res = minimize_absorption(MinimizeConfig(x_target=2.0))
-        assert calls() == res.diagnostics.slab_evaluations == 4937
+        assert calls() == res.diagnostics.slab_evaluations == 3119
 
     @pytest.mark.parametrize("call, expected", [
-        (lambda: minimize_absorption(MinimizeConfig(x_target=1.0)), 4746),
-        (lambda: extract_alpha(1.0), 9479),
+        (lambda: minimize_absorption(MinimizeConfig(x_target=1.0)), 3059),
+        (lambda: extract_alpha(1.0), 6035),
     ], ids=["minimize", "extract_alpha"])
     def test_cold_kernel_call_count(self, cold_process, monkeypatch, call, expected):
         # as in a fresh process: the scan slices come from the shipped table,
@@ -265,7 +269,7 @@ class TestMinimize:
         # the two load-check searches are the only calls the count leaves out
         calls = count_calls(monkeypatch, "_kernel")
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
-        assert (res.diagnostics.slab_evaluations, calls()) == (4668, 4746)
+        assert (res.diagnostics.slab_evaluations, calls()) == (2981, 3059)
 
     def test_fixed_constraint_tolerance(self):
         cfg = MinimizeConfig(x_target=1.0)
@@ -354,11 +358,124 @@ class TestBranchDominance:
         self, gamma_tilde, omega_tilde
     ):
         for x in (4.1e-3, 0.05, 1.0, 30.0, 1e3, 1e5):
-            res = minimize_absorption(MinimizeConfig(x, gamma_tilde, omega_tilde))
+            config = MinimizeConfig(x, gamma_tilde, omega_tilde)
+            res = minimize_absorption(config)
             assert res.branch == "first"
-            # a NaN margin, no second root, fails too
-            margin = (res.diagnostics.rejected_branch_p - res.p_min) / res.p_min
-            assert margin > optimizer._OBJECTIVE_RTOL
+            # the tie rule compares the branches' lowest scan p
+            (_, p_first), (second, p_second) = minimize_both_branches(config)[1]
+            assert second == "second"
+            assert res.diagnostics.rejected_branch_p == p_second
+            assert (p_second - p_first) / p_first > optimizer._OBJECTIVE_RTOL
+
+
+def reference_cases():
+    """One config per half-decade of x and kind of bench/reference.json.
+
+    A minimize entry gives its own (x, gamma, omega); an alpha entry is
+    solved at every level of DEFAULT_LEVELS, as extract_alpha solves it.
+    """
+    ref = json.loads((REPO / "bench" / "reference.json").read_text())
+    cases = {}
+    for entry in ref["minimize"]:
+        levels = [(entry["gamma"], entry["omega"])]
+        cases.setdefault(("minimize", math.floor(2 * math.log10(entry["x"]))), (entry["x"], levels))
+    for entry in ref["alpha"]:
+        cases.setdefault(("alpha", math.floor(2 * math.log10(entry["x"]))), (entry["x"], DEFAULT_LEVELS))
+    return [
+        pytest.param(MinimizeConfig(x, *level), id=f"{kind}-x={x:.3g}-level{k}")
+        for (kind, _), (x, levels) in sorted(cases.items())
+        for k, level in enumerate(levels)
+    ]
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestWinnerRefinement:
+    """Refining only the scan's winning branch returns the two-branch optimum."""
+
+    @staticmethod
+    def assert_two_branch_optimum(config):
+        try:
+            expected, scan = minimize_both_branches(config)
+        except Exception as exc:  # noqa: BLE001 - the same must raise below
+            with pytest.raises(type(exc)) as raised:
+                minimize_absorption(config)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return
+        res = minimize_absorption(config)
+        assert repr(res[:-1]) == repr(expected[:-1])
+        for field in ("constraint_residual", "scan_feasible"):
+            assert repr(getattr(res.diagnostics, field)) == repr(getattr(expected.diagnostics, field))
+        assert res.diagnostics.slab_evaluations <= expected.diagnostics.slab_evaluations
+        if expected.feasible:
+            # the two-branch refinement picks the branch that won the scan
+            assert expected.branch == scan[0][0]
+            rejected = [p for branch, p in scan if branch != res.branch]
+            assert repr(res.diagnostics.rejected_branch_p) == repr(rejected[0] if rejected else NAN)
+        else:
+            assert math.isnan(res.diagnostics.rejected_branch_p)
+
+    @given(
+        log_uniform(1e-3, 1e7),
+        st.sampled_from(DEFAULT_LEVELS) | st.tuples(log_uniform(1e-4, 0.1), log_uniform(1e-4, 0.1)),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_two_branch_refinement(self, x, level):
+        self.assert_two_branch_optimum(MinimizeConfig(x, *level))
+
+    @pytest.mark.parametrize("config", reference_cases())
+    def test_matches_two_branch_refinement_on_reference_entries(self, config):
+        self.assert_two_branch_optimum(config)
+
+    @pytest.mark.parametrize("rootless, branch", [
+        ({"first"}, "second"), ({"first", "second"}, "none"),
+    ], ids=["winner", "both"])
+    def test_other_branch_refined_when_the_winner_finds_no_root(
+        self, monkeypatch, rootless, branch
+    ):
+        real = optimizer._solve_slice
+
+        def solve_slice(eps_s, gamma_tilde, omega_tilde, x_target, branches):
+            roots, evals = real(eps_s, gamma_tilde, omega_tilde, x_target, branches)
+            if len(branches) == 1 and branches[0] in rootless:
+                return [], evals  # a refinement slice of a rootless branch
+            return roots, evals
+
+        monkeypatch.setattr(optimizer, "_solve_slice", solve_slice)
+        config = MinimizeConfig(1.0)
+        expected, scan = minimize_both_branches(config)
+        res = minimize_absorption(config)
+        assert scan[0][0] == "first" and res.branch == expected.branch == branch
+        assert repr(res[:-1]) == repr(expected[:-1])
+        # both searches ran, as in the two-branch loop
+        assert res.diagnostics[:4] == expected.diagnostics[:4]
+        rejected = scan[0][1] if branch == "second" else NAN
+        assert repr(res.diagnostics.rejected_branch_p) == repr(rejected)
+
+    @pytest.mark.parametrize("margin, branch", [(1.0, "second"), (0.5e-8, "first")],
+                             ids=["second-wins", "tie"])
+    def test_tie_rule_acts_on_the_scan_p(self, monkeypatch, margin, branch):
+        # the first branch's p is scaled so that its lowest scan p lies
+        # `margin` above the second's; within _OBJECTIVE_RTOL the first wins
+        config = MinimizeConfig(1.0)
+        (_, p_first), (_, p_second) = minimize_both_branches(config)[1]
+        scale = p_second * (1.0 + margin) / p_first
+        real = optimizer._solve_slice
+
+        def solve_slice(*args):
+            roots, evals = real(*args)
+            return [r._replace(p=r.p * scale) if r.branch == "first" else r for r in roots], evals
+
+        monkeypatch.setattr(optimizer, "_solve_slice", solve_slice)
+        expected, scan = minimize_both_branches(config)
+        res = minimize_absorption(config)
+        assert res.branch == scan[0][0] == branch
+        assert res.diagnostics.rejected_branch_p == scan[1][1]
+        if branch == "second":
+            assert repr(res[:-1]) == repr(expected[:-1])
 
 
 class TestSweep:
@@ -513,10 +630,10 @@ class TestValleyStore:
         minimize_absorption(MinimizeConfig(x_target=1.0))
         index_calls = count_calls(monkeypatch, "_index_pair")
         res = minimize_absorption(MinimizeConfig(x_target=1.0))
-        # both branches are refined, each golden search on iterations + 2 new
-        # slices; the scan slices come from the table
+        # only the scan's winner is refined, by one golden search on
+        # iterations + 2 new slices; the scan slices come from the table
         assert math.isfinite(res.diagnostics.rejected_branch_p)
-        assert index_calls() == res.diagnostics.refine_iterations + 2 * len(optimizer._BRANCHES)
+        assert index_calls() == res.diagnostics.refine_iterations + 2
 
 
 class TestRecordFreeSolve:
