@@ -19,6 +19,10 @@ The command line is read from one table of commands and flags (`_parse`),
 which also gives the usage and help text; it takes the syntax argparse
 took, prints the bytes argparse printed at 80 columns, and imports
 nothing.  Nothing is written to a stdout whose descriptor is closed.
+
+The module imports no other bsbound module: each command imports what it
+runs, so --constants loads linewidth (and its dielectric), eval the slab,
+minimize, sweep and bound the optimizer, and --help or a usage error none.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import os
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
-
-from . import linewidth, optimizer, slab
 
 __all__ = ["main", "app"]
 
@@ -74,14 +76,15 @@ def _cannot_write(out: str, exc: OSError) -> str:
     return f"cannot write --out {out!r}: {exc.strerror or exc}"
 
 
-def _extract(x: float, levels: Sequence, eps_s_max: float,
-             warnings: list) -> optimizer.AlphaExtraction:
-    """extract_alpha over `levels`, as the CLI reports it.
+def _extract(x: float, levels: Sequence, eps_s_max: float, warnings: list) -> tuple:
+    """extract_alpha over `levels`, as the CLI reports it: an optimizer.AlphaExtraction.
 
     The levels are solved one process each, up to one per CPU, which changes
     no output byte (optimizer._fork_map).  A drift that breaks the separable
     scaling adds a line to warnings; one level measures no drift.
     """
+    from . import optimizer
+
     ex = optimizer._extract_alpha(x, levels, eps_s_max, len(levels))
     if ex.drift > optimizer._DRIFT_TOL:
         warnings.append(
@@ -93,6 +96,8 @@ def _extract(x: float, levels: Sequence, eps_s_max: float,
 
 
 def cmd_eval(args, warnings: list) -> tuple[list, int]:
+    from . import slab
+
     if args.gamma == 0.0 and not args.allow_lossless:
         raise ValueError("gamma = 0 requires --allow-lossless")
     resp = slab.evaluate(slab.ScaledSlabParams(
@@ -118,6 +123,8 @@ def cmd_eval(args, warnings: list) -> tuple[list, int]:
 
 
 def cmd_minimize(args, warnings: list) -> tuple[list, int]:
+    from . import optimizer
+
     if args.refine_levels < 1:
         raise ValueError("--refine-levels must be at least 1")
     levels = optimizer.ladder(args.gamma, args.omega, args.refine_levels)
@@ -160,6 +167,8 @@ def _grid(x_min: float, x_max: float, points: int, log: bool) -> list:
 
 
 def cmd_sweep(args, warnings: list) -> tuple[list, int]:
+    from . import optimizer
+
     if not args.x_min < args.x_max:
         raise ValueError(f"--x-min must be below --x-max, got {args.x_min} >= {args.x_max}")
     if args.points < 2:
@@ -185,6 +194,8 @@ def cmd_sweep(args, warnings: list) -> tuple[list, int]:
 
 
 def cmd_bound(args, warnings: list) -> tuple[list, int]:
+    from . import linewidth, optimizer
+
     if args.nvt <= 0:
         raise ValueError(f"--nvt must be positive, got {args.nvt}")
     if args.omega <= 0:
@@ -240,13 +251,21 @@ def _int(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
 
 
+def _optimizer():
+    from . import optimizer
+
+    return optimizer
+
+
 # The command line: _parse reads it from these tables, _usage and _help
 # print it.  A command is (help line, function, flags); the top level has
 # flags only.  A flag is (name, convert, default, help): convert is _finite,
 # _int, str, a tuple of the accepted values, or bool for a switch that
-# stores True, and the default _REQUIRED makes the flag required.  Its dest
-# is the name without the dashes, with "_" for "-".  Every command, and the
-# top level, also takes _HELP, which -h names too.
+# stores True, and the default _REQUIRED makes the flag required.  A default
+# that is a function is called for the parsed command only, so minimize's
+# defaults stay the optimizer's own without --help or another command
+# importing it.  Its dest is the name without the dashes, with "_" for "-".
+# Every command, and the top level, also takes _HELP, which -h names too.
 _REQUIRED = object()
 _HELP = ("--help", None, None, "show this help message and exit")
 _IO_FLAGS = (
@@ -267,9 +286,9 @@ _COMMANDS = {
     )),
     "minimize": ("minimal absorption at a splitting ratio", cmd_minimize, (
         ("--x", _finite, _REQUIRED, None),
-        ("--gamma", _finite, optimizer.WORKING_POINT[0], None),
-        ("--omega", _finite, optimizer.WORKING_POINT[1], None),
-        ("--eps-s-max", _finite, optimizer.EPS_S_MAX, None),
+        ("--gamma", _finite, lambda: _optimizer().WORKING_POINT[0], None),
+        ("--omega", _finite, lambda: _optimizer().WORKING_POINT[1], None),
+        ("--eps-s-max", _finite, lambda: _optimizer().EPS_S_MAX, None),
         ("--refine-levels", _int, 2, None),
         *_IO_FLAGS,
     )),
@@ -457,22 +476,26 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
     shortened to any prefix that names it alone, and the last of repeated
     flags wins.  A usage error prints the usage and an error line to stderr
     and raises SystemExit(2); -h or --help prints the help to stdout and
-    raises SystemExit(0).
+    raises SystemExit(0).  The defaults of the flags not given are set last,
+    after every usage check.
     """
     args = SimpleNamespace(constants=False, command=None)
     extras: list = []
+    flags: Sequence = ()
     start = _read(None, _TOP_FLAGS, argv, args, extras)
     if start < len(argv):
         args.command = _convert(None, "command", tuple(_COMMANDS), argv[start])
         _, args.func, flags = _COMMANDS[args.command]
-        for name, _, default, _ in flags:
-            setattr(args, _dest(name), default)
         _read(args.command, flags, argv[start + 1:], args, extras)
-        missing = [f[0] for f in flags if getattr(args, _dest(f[0])) is _REQUIRED]
+        missing = [name for name, _, default, _ in flags
+                   if default is _REQUIRED and not hasattr(args, _dest(name))]
         if missing:
             _fail(args.command, "the following arguments are required: " + ", ".join(missing))
     if extras:
         _fail(None, "unrecognized arguments: " + " ".join(extras))
+    for name, _, default, _ in flags:
+        if not hasattr(args, _dest(name)):
+            setattr(args, _dest(name), default() if callable(default) else default)
     return args
 
 
@@ -484,6 +507,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     args = _parse(sys.argv[1:] if argv is None else argv)
     if args.constants:
+        from . import linewidth
+
         _out(
             f"hbar = {linewidth.HBAR!r} J s\n"
             f"epsilon_0 = {linewidth.EPSILON_0!r} F m^-1\n"

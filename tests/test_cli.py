@@ -810,6 +810,41 @@ class TestImports:
         assert (res.returncode, res.stderr) == (0, "loaded: []")
         assert res.stdout == (GOLDEN / "bound_headline.csv").read_text()
 
+    @pytest.mark.parametrize("args, code, solver", [
+        (["--constants"], 0, {"dielectric", "linewidth"}),
+        (["--help"], 0, set()),
+        (["minimize", "--x"], 2, set()),
+        (make_goldens.CASES["eval_point.csv"], 0, {"dielectric", "slab"}),
+        (make_goldens.CASES["bound_headline.csv"], 0,
+         {"dielectric", "slab", "optimizer", "linewidth"}),
+    ], ids=["constants", "help", "usage-error", "eval", "bound"])
+    def test_cli_process_loads_only_the_modules_its_command_runs(
+            self, cli_env, args, code, solver):
+        # python -m bsbound ARGS, with main wrapped to list the bsbound
+        # modules loaded when it returns or raises (--help, a usage error)
+        wrapper = (
+            "import runpy, sys\n"
+            "import bsbound.cli as cli\n"
+            "main = cli.main\n"
+            "def listed(argv=None):\n"
+            "    try:\n"
+            "        return main(argv)\n"
+            "    finally:\n"
+            "        loaded = [m for m in sys.modules if m.startswith('bsbound.')]\n"
+            "        sys.stderr.write('\\nloaded: ' + ' '.join(loaded))\n"
+            "cli.main = listed\n"
+            "runpy.run_module('bsbound', run_name='__main__')\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", wrapper, *args], capture_output=True, text=True,
+            env=cli_env, timeout=180,
+        )
+        assert res.returncode == code, res.stderr
+        loaded = set(res.stderr.rpartition("\nloaded: ")[2].split())
+        modules = {"bsbound." + name for name in ("dielectric", "slab", "optimizer", "linewidth")}
+        assert "bsbound.cli" in loaded
+        assert loaded & modules == {"bsbound." + name for name in solver}
+
     def test_scan_valleys_load_only_for_a_solve(self, cli_env):
         # the shipped valley table is imported on the first default-level
         # slice the optimizer searches, not by the import, --constants or eval
