@@ -80,8 +80,9 @@ def _extract(x: float, levels: Sequence, eps_s_max: float, warnings: list) -> tu
     """extract_alpha over `levels`, as the CLI reports it: an optimizer.AlphaExtraction.
 
     The levels are solved one process each, up to one per CPU, which changes
-    no output byte (optimizer._fork_map).  A drift that breaks the separable
-    scaling adds a line to warnings; one level measures no drift.
+    no output byte, a failing level's error included (optimizer._minimize_all).
+    A drift that breaks the separable scaling adds a line to warnings; one
+    level measures no drift.
     """
     from . import optimizer
 

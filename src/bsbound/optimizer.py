@@ -27,7 +27,7 @@ again and compared field by field, and any difference leaves the table
 empty.  A table slice keeps the valley built from its row, so every ratio
 solved at the default working point reuses it; every other slice is
 searched on each call.  The store is per process and holds at most those
-512 valleys; a process forked by _fork_map inherits its parent's, loaded
+512 valleys; a child of _minimize_all inherits its parent's, loaded
 before the fork.  Within a solve each phase is evaluated once: a root's p
 and x come from the evaluation brentq made at that phase.  Results depend
 on none of these: a stored valley or a table row gives the floats a fresh
@@ -38,7 +38,7 @@ index comes from slab._index_pair as floats, so a solve builds no
 Resonance, DrudeLorentzModel or ComplexIndex record.
 
 sweep(jobs > 1) and the CLI's ladder solve their minimizations in forked
-processes by _fork_map; the library's defaults fork nothing.
+processes by _minimize_all; the library's defaults fork nothing.
 """
 
 from __future__ import annotations
@@ -636,48 +636,60 @@ def _single_threaded() -> bool:
         return True
 
 
-def _send(fd: int, fn: Callable, items: Sequence) -> None:
-    """Write fn(item) of each item to fd by marshal, up to the first that raises."""
-    values = []
-    for item in items:
+def _solve_share(
+    configs: Sequence[MinimizeConfig],
+) -> tuple[list[MinimizeResult], Exception | None]:
+    """minimize_absorption of configs up to the first raise, and that exception or None."""
+    results = []
+    for config in configs:
         try:
-            values.append(fn(item))
-        except Exception:  # noqa: BLE001 - the parent solves the item again and raises
-            break
-    data = memoryview(marshal.dumps(values))
+            results.append(minimize_absorption(config))
+        except Exception as exc:  # noqa: BLE001 - the caller decides who raises it
+            return results, exc
+    return results, None
+
+
+def _send(fd: int, results: Sequence[MinimizeResult]) -> None:
+    """Write results to fd by marshal, which writes plain tuples, not namedtuples."""
+    rows = [(*res[:-1], tuple(res.diagnostics)) for res in results]
+    data = memoryview(marshal.dumps(rows))
     while data:
         data = data[os.write(fd, data):]
 
 
-def _receive(fd: int) -> list:
-    """The values _send wrote to fd; none if the writer died before it finished."""
+def _receive(fd: int) -> list[MinimizeResult]:
+    """The results _send wrote to fd; none if the writer died before it finished."""
     chunks = []
     while chunk := os.read(fd, 1 << 16):
         chunks.append(chunk)
     try:
-        return marshal.loads(b"".join(chunks))
+        rows = marshal.loads(b"".join(chunks))
     except (EOFError, ValueError):
         return []
+    return [MinimizeResult(*head, MinimizeDiagnostics(*diag)) for *head, diag in rows]
 
 
-def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """[fn(item) for item in items], in up to `workers` processes, one per CPU at most.
+def _minimize_all(configs: Sequence[MinimizeConfig], workers: int) -> list[MinimizeResult]:
+    """[minimize_absorption(c) for c in configs], in up to `workers` processes.
 
-    The calling process is worker 0 and solves items[0::workers]; each of
-    the workers - 1 children forked from it solves items[k::workers] and
-    sends its values back by marshal, so fn must return what marshal
-    writes.  The values are then taken in item order from whichever
-    process solved them.  A row that raised in a child, or that a child
-    never delivered (it died, or the fork failed), is solved again here,
-    so every value and the first exception are the serial loop's.  Each
-    child is reaped before the map returns or raises; on an exception,
-    KeyboardInterrupt included, the children still running are killed
-    first.  Below two workers, without os.fork, or with another thread
-    running, the loop runs serially here and forks nothing.
+    At most one process per config and per CPU runs.  This process is
+    worker 0; the children forked from it inherit its valley table.
+    Worker k solves configs[k::workers] up to its first raise
+    (_solve_share) and a child sends its results back by marshal.  The
+    results are then taken in order: where this process's share stopped,
+    its exception is raised; a config no child delivered (it raised there,
+    the child died, or the fork failed) is solved again here.  So every
+    result and the first exception are the serial loop's.  Every child is
+    reaped before this returns or raises, and killed first on an exception,
+    KeyboardInterrupt included.  Below two workers, without os.fork, or
+    with another thread running, nothing forks.
     """
-    workers = min(workers, len(items), os.cpu_count() or 1)
+    workers = min(workers, len(configs), os.cpu_count() or 1)
     if workers < 2 or not hasattr(os, "fork") or not _single_threaded():
-        return [fn(item) for item in items]
+        return [minimize_absorption(config) for config in configs]
+    if any(config[1:3] in DEFAULT_LEVELS for config in configs):
+        _scan_table()  # loaded before the fork, so that every child inherits it
+    shares: list[list[MinimizeResult]] = [[] for _ in range(workers)]
     children: list[tuple[int, int, int]] = []  # (k, pid, read end) of each live child
     try:
         for k in range(1, workers):
@@ -687,27 +699,20 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
             except OSError:
                 os.close(r)
                 os.close(w)
-                continue  # this child's rows are solved here
+                continue  # this child's share is solved here
             if pid == 0:
                 try:
-                    _send(w, fn, items[k::workers])
+                    _send(w, _solve_share(configs[k::workers])[0])
                 finally:
                     # no parent cleanup, atexit hook or buffered output runs
                     # twice; the parent reads the pipe, not the exit status
                     os._exit(0)
             os.close(w)
             children.append((k, pid, r))
-        values: dict[int, object] = {}
-        raised: tuple[int, Exception] | None = None
-        for i in range(0, len(items), workers):
-            try:
-                values[i] = fn(items[i])
-            except Exception as exc:  # noqa: BLE001 - raised below, in item order
-                raised = (i, exc)
-                break
+        shares[0], raised = _solve_share(configs[::workers])
         while children:
             k, pid, r = children[-1]
-            values.update(zip(range(k, len(items), workers), _receive(r)))
+            shares[k] = _receive(r)
             os.waitpid(pid, 0)
             children.pop()
             os.close(r)
@@ -719,31 +724,16 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 os.close(r)
-    out = []
-    for i, item in enumerate(items):
-        if i in values:
-            out.append(values[i])
-        elif raised is not None and raised[0] == i:
-            raise raised[1]
+    results = []
+    for i, config in enumerate(configs):
+        n, k = divmod(i, workers)
+        if n < len(shares[k]):
+            results.append(shares[k][n])
+        elif k == 0:
+            raise raised
         else:
-            out.append(fn(item))
-    return out
-
-
-def _minimize_row(config: MinimizeConfig) -> tuple:
-    """minimize_absorption(config) as plain tuples, which marshal writes."""
-    res = minimize_absorption(config)
-    return (*res[:-1], tuple(res.diagnostics))
-
-
-def _minimize_all(configs: Sequence[MinimizeConfig], workers: int) -> list[MinimizeResult]:
-    """minimize_absorption of every config, in order, by _fork_map over `workers`."""
-    if workers > 1 and any(cfg[1:3] in DEFAULT_LEVELS for cfg in configs):
-        _scan_table()  # loaded before the fork, so that every child inherits it
-    return [
-        MinimizeResult(*head, MinimizeDiagnostics(*diagnostics))
-        for *head, diagnostics in _fork_map(_minimize_row, configs, workers)
-    ]
+            results.append(minimize_absorption(config))
+    return results
 
 
 def extract_alpha(
@@ -767,7 +757,7 @@ def _extract_alpha(
     eps_s_max: float,
     workers: int,
 ) -> AlphaExtraction:
-    """extract_alpha with its levels solved by _fork_map over `workers`."""
+    """extract_alpha with its levels solved by _minimize_all over `workers`."""
     if not levels:
         raise ValueError("need at least one refinement level")
     # every level is validated before any is solved
@@ -799,7 +789,7 @@ def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
     solved, so jobs < 1 or a non-finite or non-positive ratio raises
     ValueError up front.
     Per-row infeasibility is recorded in the row, never raised.  With
-    jobs > 1 rows are solved by _fork_map in at most jobs processes at
+    jobs > 1 rows are solved by _minimize_all in at most jobs processes at
     once, this one included, and never more than one per row or one per
     CPU; the output order and content, and the exception of a failing row,
     are identical regardless of jobs.

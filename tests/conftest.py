@@ -43,9 +43,9 @@ def run_cli(cli_env):
 
 @pytest.fixture
 def failing_forks(monkeypatch):
-    """The os.fork calls of the fork map; each fails, so no process starts.
+    """The os.fork calls of optimizer._minimize_all; each fails, so no process starts.
 
-    A failed fork leaves its items to the parent.  The map forks only in a
+    A failed fork leaves its share to the parent.  It forks only in a
     process without other threads, and numpy's BLAS workers run in the
     test process, so that check is patched to pass.
     """

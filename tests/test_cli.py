@@ -965,6 +965,14 @@ class TestForkedLevels:
                           "--log", "--jobs", "2"], 1),
         "sweep-jobs-2-failing": (["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2",
                                   "--log", "--jobs", "2"], 1),
+        # exit 2: the parent's own first row raises
+        "sweep-jobs-2-parent-raises": (["sweep", "--x-min", "22387211.385683396",
+                                        "--x-max", "25118864.315095823", "--points", "2",
+                                        "--log", "--jobs", "2"], 1),
+        # exit 2: the parent's row 2 raises after the child delivered row 1
+        "sweep-jobs-2-parent-raises-last": (["sweep", "--x-min", "25118864.315095823",
+                                             "--x-max", "28183829.31264455", "--points", "3",
+                                             "--log", "--jobs", "2"], 1),
     }
 
     @pytest.mark.parametrize("name", list(CASES))

@@ -543,11 +543,36 @@ class TestSweep:
         assert sweep(xs, jobs=5000) == sweep(xs)
         assert len(failing_forks) == children
 
-    def test_fork_map_applies_the_cpu_cap(self, failing_forks, monkeypatch):
+    def test_minimize_all_applies_the_cpu_cap(self, failing_forks, monkeypatch):
         # the one owner of the cap: callers pass the processes they could use
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert optimizer._fork_map(abs, [-1, 2, -3, 4, -5], 99) == [1, 2, 3, 4, 5]
+        configs = [MinimizeConfig(x) for x in (0.5, 1.0, 2.0, 5.0, 20.0)]
+        serial = [minimize_absorption(config) for config in configs]
+        # repr: a NaN field compares unequal to itself
+        assert repr(optimizer._minimize_all(configs, 99)) == repr(serial)
         assert len(failing_forks) == 2
+
+    @pytest.mark.parametrize("failing, error", [({3.0}, "3.0"), ({2.0, 3.0}, "2.0")])
+    def test_first_raise_in_config_order_and_no_config_solved_twice(
+        self, failing_forks, monkeypatch, failing, error
+    ):
+        # the fork fails, so this process solves its share [1, 3] up to its
+        # raise at 3, then the child's 2; the first raise in config order wins
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        solved = []
+
+        def solve(config):
+            solved.append(config.x_target)
+            if config.x_target in failing:
+                raise RuntimeError(repr(config.x_target))
+            return config.x_target
+
+        monkeypatch.setattr(optimizer, "minimize_absorption", solve)
+        configs = [MinimizeConfig(x) for x in (1.0, 2.0, 3.0, 4.0)]
+        with pytest.raises(RuntimeError, match=error):
+            optimizer._minimize_all(configs, 2)
+        assert solved == [1.0, 3.0, 2.0]
+        assert len(failing_forks) == 1
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected_before_any_row(self, monkeypatch, jobs):
