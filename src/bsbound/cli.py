@@ -79,8 +79,8 @@ def _cannot_write(out: str, exc: OSError) -> str:
 def _extract(x: float, levels: Sequence, eps_s_max: float, warnings: list) -> tuple:
     """extract_alpha over `levels`, as the CLI reports it: an optimizer.AlphaExtraction.
 
-    The levels are solved one process each, up to one per CPU, which changes
-    no output byte, a failing level's error included (optimizer._minimize_all).
+    Each level with an eps_s slice to solve gets a process, up to one per CPU;
+    no output byte changes, a failing level's error included (_minimize_all).
     A drift that breaks the separable scaling adds a line to warnings; one
     level measures no drift.
     """
@@ -174,12 +174,10 @@ def cmd_sweep(args, warnings: list) -> tuple[list, int]:
         raise ValueError(f"--x-min must be below --x-max, got {args.x_min} >= {args.x_max}")
     if args.points < 2:
         raise ValueError("--points must be at least 2")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     if args.x_min <= 0:
         raise ValueError("--x-min must be positive")
     grid = _grid(args.x_min, args.x_max, args.points, args.log)
-    rows = optimizer.sweep(grid, jobs=args.jobs)
+    rows = optimizer.sweep(grid, jobs=len(grid))
     records = [
         [
             ("x", row.x),
@@ -298,7 +296,6 @@ _COMMANDS = {
         ("--x-max", _finite, _REQUIRED, None),
         ("--points", _int, _REQUIRED, None),
         ("--log", bool, False, "logarithmic grid"),
-        ("--jobs", _int, 1, None),
         *_IO_FLAGS,
     )),
     "bound": ("minimal absorption probability chain", cmd_bound, (

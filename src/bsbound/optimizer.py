@@ -37,8 +37,8 @@ makes, so a shipped or reused evaluation counts nothing.  A slice's
 index comes from slab._index_pair as floats, so a solve builds no
 Resonance, DrudeLorentzModel or ComplexIndex record.
 
-sweep(jobs > 1) and the CLI's ladder solve their minimizations in forked
-processes by _minimize_all; the library's defaults fork nothing.
+sweep(jobs > 1) and the CLI's ladder and sweep fork by _minimize_all, one
+process per CPU and per config with an eps_s slice to solve at most.
 """
 
 from __future__ import annotations
@@ -521,6 +521,17 @@ def _scan_grid(eps_s_max: float) -> list[float]:
     ]
 
 
+def _surely_infeasible(eps_s: float, x_target: float) -> bool:
+    """True if no slice at eps_s or above reaches x_target, by lossless
+    feasibility with 5% margin: loss shifts it by O(gamma*omega)."""
+    try:
+        return 4.0 * eps_s / (x_target * (eps_s - 1.0) ** 2) > 1.05
+    except ZeroDivisionError:
+        return True  # x_target * (eps_s - 1)**2 underflows: out of reach
+    except OverflowError:  # (eps_s - 1)**2 overflows
+        return 4.0 * eps_s / (x_target * (eps_s - 1.0) * (eps_s - 1.0)) > 1.05
+
+
 def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     """Minimum absorption over eps_s and thickness at a fixed ratio.
 
@@ -547,15 +558,10 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         evals += n
         return roots
 
-    # lossless feasibility with 5% margin: loss shifts the reachable ratio
-    # by O(gamma*omega), far below the margin
-    def surely_infeasible(eps: float) -> bool:
-        return 4.0 * eps / (x_target * (eps - 1.0) ** 2) > 1.05
-
     # branch -> (p, slice index) of the branch's lowest p in the scan
     best: dict[str, tuple[float, int]] = {}
     for i, eps in enumerate(grid):
-        if surely_infeasible(eps):
+        if _surely_infeasible(eps, x_target):
             continue
         roots = solve(eps, _BRANCHES)
         scan_feasible += bool(roots)
@@ -672,19 +678,21 @@ def _receive(fd: int) -> list[MinimizeResult]:
 def _minimize_all(configs: Sequence[MinimizeConfig], workers: int) -> list[MinimizeResult]:
     """[minimize_absorption(c) for c in configs], in up to `workers` processes.
 
-    At most one process per config and per CPU runs.  This process is
-    worker 0; the children forked from it inherit its valley table.
-    Worker k solves configs[k::workers] up to its first raise
-    (_solve_share) and a child sends its results back by marshal.  The
-    results are then taken in order: where this process's share stopped,
-    its exception is raised; a config no child delivered (it raised there,
-    the child died, or the fork failed) is solved again here.  So every
-    result and the first exception are the serial loop's.  Every child is
-    reaped before this returns or raises, and killed first on an exception,
-    KeyboardInterrupt included.  Below two workers, without os.fork, or
-    with another thread running, nothing forks.
+    At most one process per CPU and per config with a slice to solve (not
+    _surely_infeasible at eps_s_max) runs.  This process is worker 0; the
+    children forked from it inherit its valley table.  Worker k solves
+    configs[k::workers] up to its first raise (_solve_share) and a child
+    sends its results back by marshal.  The results are then taken in
+    order: where this process's share stopped, its exception is raised; a
+    config no child delivered (it raised there, the child died, or the fork
+    failed) is solved again here.  So every result and the first exception
+    are the serial loop's.  Every child is reaped before this returns or
+    raises, and killed first on an exception, KeyboardInterrupt included.
+    Below two workers, without os.fork, or with another thread running,
+    nothing forks.
     """
-    workers = min(workers, len(configs), os.cpu_count() or 1)
+    working = sum(not _surely_infeasible(c.eps_s_max, c.x_target) for c in configs)
+    workers = min(workers, working, os.cpu_count() or 1)
     if workers < 2 or not hasattr(os, "fork") or not _single_threaded():
         return [minimize_absorption(config) for config in configs]
     if any(config[1:3] in DEFAULT_LEVELS for config in configs):
@@ -790,9 +798,9 @@ def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
     ValueError up front.
     Per-row infeasibility is recorded in the row, never raised.  With
     jobs > 1 rows are solved by _minimize_all in at most jobs processes at
-    once, this one included, and never more than one per row or one per
-    CPU; the output order and content, and the exception of a failing row,
-    are identical regardless of jobs.
+    once, this one included, and never more than one per CPU or per row
+    with an eps_s slice to solve; the output order and content, and the
+    exception of a failing row, are identical regardless of jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

@@ -420,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", dest="x_max", type=_finite, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--log", action="store_true", help="logarithmic grid")
-    p.add_argument("--jobs", type=int, default=1)
     _add_io_flags(p)
     p.set_defaults(func=cli.cmd_sweep)
 

@@ -203,14 +203,6 @@ class TestSweep:
         assert xs == sorted(xs)
         assert len(xs) == 3
 
-    def test_jobs_byte_identical(self, run_cli, tmp_path):
-        args = ("sweep", "--x-min", "0.2", "--x-max", "5", "--points", "5", "--log")
-        one = tmp_path / "one.csv"
-        many = tmp_path / "many.csv"
-        run_cli(*args, "--jobs", "1", "--out", str(one))
-        run_cli(*args, "--jobs", "4", "--out", str(many))
-        assert one.read_bytes() == many.read_bytes()
-
     def test_json_lines_format(self, run_cli):
         res = run_cli("sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3",
                       "--log", "--format", "json")
@@ -280,11 +272,12 @@ class TestSweep:
         res = run_cli("sweep", "--x-min", "2", "--x-max", "1", "--points", "3")
         assert res.returncode == 2
 
-    def test_jobs_below_one_rejected(self, run_cli):
-        res = run_cli("sweep", "--x-min", "1", "--x-max", "2", "--points", "2", "--jobs", "0")
+    def test_jobs_is_unrecognized(self, run_cli):
+        # the process count follows the rows (TestForkedLevels), not a flag
+        res = run_cli("sweep", "--x-min", "1", "--x-max", "2", "--points", "2", "--jobs", "2")
         assert res.returncode == 2
         assert res.stdout == ""
-        assert "--jobs" in res.stderr
+        assert res.stderr.endswith("error: unrecognized arguments: --jobs 2\n")
 
 
 class TestBound:
@@ -354,8 +347,7 @@ class TestSolveFailure:
         ["minimize", "--x", "1", "--eps-s-max", "1e11"],
         ["bound", "--x", "1e8", "--omega", "0.1"],
         ["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2", "--log"],
-        ["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2", "--log", "--jobs", "2"],
-    ], ids=["1e8", "1e9", "1e30", "eps-s-max-1e11", "bound", "sweep", "sweep-jobs-2"])
+    ], ids=["1e8", "1e9", "1e30", "eps-s-max-1e11", "bound", "sweep"])
     def test_exit_2(self, run_cli, args):
         res = run_cli(*args)
         assert res.returncode == 2
@@ -363,6 +355,29 @@ class TestSolveFailure:
         (line,) = res.stderr.splitlines()
         assert line.startswith("error: the constrained solve failed: inner solve left residual ")
         assert "Traceback" not in res.stderr
+
+
+class TestFloatRangeEnds:
+    """Ratios near the smallest float and an eps_s search past 1e154 end in a
+    record, not a traceback: the lossless feasibility bound stays total
+    where x * (eps_s - 1)**2 underflows or (eps_s - 1)**2 overflows.
+    """
+
+    @pytest.mark.parametrize("args, code", [
+        (["bound", "--x", "1e-320", "--omega", "0.1"], 3),
+        (["minimize", "--x", "5e-324"], 3),
+        (["sweep", "--x-min", "1e-320", "--x-max", "1", "--points", "2", "--log"], 0),
+        (["minimize", "--x", "1e-300", "--eps-s-max", "1e200"], 3),
+    ], ids=["bound-1e-320", "minimize-5e-324", "sweep-1e-320", "eps-s-max-1e200"])
+    def test_record_not_traceback(self, run_cli, args, code):
+        res = run_cli(*args)
+        assert (res.returncode, res.stderr) == (code, "")
+        header, *rows = [line.split(",") for line in res.stdout.splitlines()]
+        column = header.index("feasible")
+        # the sweep's x = 1 row is the only feasible one
+        assert [row[column] for row in rows] == (
+            ["false", "true"] if args[0] == "sweep" else ["false"]
+        )
 
 
 class TestScalingWarning:
@@ -498,7 +513,7 @@ HELP = {
     ),
     "sweep": (
         "usage: bsbound sweep [-h] --x-min X_MIN --x-max X_MAX --points POINTS [--log]\n"
-        "                     [--jobs JOBS] [--format {csv,json}] [--out OUT]\n"
+        "                     [--format {csv,json}] [--out OUT]\n"
         "\n"
         "options:\n"
         "  -h, --help           show this help message and exit\n"
@@ -506,7 +521,6 @@ HELP = {
         "  --x-max X_MAX\n"
         "  --points POINTS\n"
         "  --log                logarithmic grid\n"
-        "  --jobs JOBS\n"
         "  --format {csv,json}\n"
         "  --out OUT            output file (default stdout)\n"
     ),
@@ -530,7 +544,7 @@ FLAGS = {
              "--format", "--out"],
     "minimize": ["--x", "--gamma", "--omega", "--eps-s-max", "--refine-levels",
                  "--format", "--out"],
-    "sweep": ["--x-min", "--x-max", "--points", "--log", "--jobs", "--format", "--out"],
+    "sweep": ["--x-min", "--x-max", "--points", "--log", "--format", "--out"],
     "bound": ["--x", "--omega", "--nvt", "--format", "--out"],
 }
 REQUIRED = {"eval": 4, "minimize": 1, "sweep": 3, "bound": 2}
@@ -548,7 +562,7 @@ def flag_values(flag):
         return st.sampled_from(["csv", "json"] * 2 + ["xml", "CSV", ""])
     if flag == "--out":
         return st.sampled_from(["out.csv", "-", "-1", "a b", "x=y"])
-    if flag in ("--refine-levels", "--points", "--jobs"):
+    if flag in ("--refine-levels", "--points"):
         valid = st.integers(-10**6, 10**6).map(str)
     else:
         valid = st.floats(0.0, allow_infinity=False).map(repr)
@@ -705,17 +719,20 @@ class TestContract:
             del record["x"]
             assert all(math.isfinite(v) for v in record.values()), record
 
-    # x >= 1.7e7 can miss the ratio tolerance: exit 2, not a traceback [contract]
+    # x >= 1.7e7 can miss the ratio tolerance: exit 2, not a traceback
+    # [contract]; below x ~ 2.5e-312 the lossless feasibility bound divides
+    # by an underflowed zero, and past eps_s ~ 1.34e154 it overflows
     @given(
-        st.floats(1e-4, 1e38),
+        st.floats(5e-324, 1e38),
         st.floats(1e-6, 0.5),
         st.floats(1e-6, 0.5),
         st.integers(1, 3),
+        st.floats(1.0001, 1.7e302),
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_minimize(self, x, gamma, omega, levels):
+    def test_minimize(self, x, gamma, omega, levels, eps_s_max):
         self.check(["minimize", f"--x={x!r}", f"--gamma={gamma!r}", f"--omega={omega!r}",
-                    f"--refine-levels={levels}"])
+                    f"--refine-levels={levels}", f"--eps-s-max={eps_s_max!r}"])
 
     @given(st.floats(1e-4, 1e38), st.floats(1e-6, 0.5))
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -936,8 +953,10 @@ sys.exit(code)
 
 
 class TestForkedLevels:
-    """bound and minimize solve their ladder levels, and sweep --jobs its rows,
-    in forked processes; stdout, stderr and the exit code are the serial run's.
+    """bound and minimize solve their ladder levels, and sweep its rows, in
+    forked processes: one for each level or row with an eps_s slice to
+    solve, at most one per CPU.  stdout, stderr and the exit code are the
+    serial run's.
     """
 
     @pytest.fixture
@@ -953,42 +972,46 @@ class TestForkedLevels:
 
         return run
 
+    # name -> (args, CPUs, forks)
     CASES = {
-        "bound": (["bound", "--x", "1", "--omega", "0.1"], 1),
-        "minimize-reflective": (["minimize", "--x", "0.05"], 1),
-        "minimize-3-levels": (["minimize", "--x", "1", "--refine-levels", "3"], 2),
-        # exit 3: neither level reaches the ratio
-        "minimize-infeasible": (["minimize", "--x", "1e-4"], 1),
+        "bound": (["bound", "--x", "1", "--omega", "0.1"], 8, 1),
+        # exit 3: no slice of either level can reach the ratio
+        "bound-infeasible": (["bound", "--x", "1e-3", "--omega", "0.1"], 8, 0),
+        "minimize-reflective": (["minimize", "--x", "0.05"], 8, 1),
+        "minimize-3-levels": (["minimize", "--x", "1", "--refine-levels", "3"], 8, 2),
+        "minimize-infeasible": (["minimize", "--x", "1e-4"], 8, 0),
         # exit 2: both levels raise, the second in the child
-        "minimize-failing": (["minimize", "--x", "1e8"], 1),
-        "sweep-jobs-2": (["sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3",
-                          "--log", "--jobs", "2"], 1),
-        "sweep-jobs-2-failing": (["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2",
-                                  "--log", "--jobs", "2"], 1),
+        "minimize-failing": (["minimize", "--x", "1e8"], 8, 1),
+        "sweep": (["sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3", "--log"], 8, 2),
+        # the 1e-4 row has no slice to solve
+        "sweep-one-working-row": (["sweep", "--x-min", "1e-4", "--x-max", "1", "--points", "2",
+                                   "--log"], 8, 0),
+        "sweep-failing": (["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2",
+                           "--log"], 8, 1),
         # exit 2: the parent's own first row raises
-        "sweep-jobs-2-parent-raises": (["sweep", "--x-min", "22387211.385683396",
-                                        "--x-max", "25118864.315095823", "--points", "2",
-                                        "--log", "--jobs", "2"], 1),
+        "sweep-parent-raises": (["sweep", "--x-min", "22387211.385683396",
+                                 "--x-max", "25118864.315095823", "--points", "2",
+                                 "--log"], 2, 1),
         # exit 2: the parent's row 2 raises after the child delivered row 1
-        "sweep-jobs-2-parent-raises-last": (["sweep", "--x-min", "25118864.315095823",
-                                             "--x-max", "28183829.31264455", "--points", "3",
-                                             "--log", "--jobs", "2"], 1),
+        "sweep-parent-raises-last": (["sweep", "--x-min", "25118864.315095823",
+                                      "--x-max", "28183829.31264455", "--points", "3",
+                                      "--log"], 2, 1),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_forked_run_is_the_serial_run(self, run, name):
-        args, forks = self.CASES[name]
+        args, cpus, forks = self.CASES[name]
         serial, serial_log = run(1, "-", *args)
         assert serial_log == ["no child"]
-        forked, forked_log = run(8, "-", *args)
+        forked, forked_log = run(cpus, "-", *args)
         assert forked == serial
         assert forked_log == ["fork"] * forks + ["no child"]
 
-    @pytest.mark.parametrize("name", ["bound", "minimize-3-levels", "sweep-jobs-2"])
+    @pytest.mark.parametrize("name", ["bound", "minimize-3-levels", "sweep"])
     def test_child_that_dies_before_delivering(self, run, name):
-        args, forks = self.CASES[name]
+        args, cpus, forks = self.CASES[name]
         serial, _ = run(1, "-", *args)
-        died, log = run(8, "die", *args)
+        died, log = run(cpus, "die", *args)
         assert died == serial
         assert log == ["fork"] * forks + ["no child"]
 
@@ -1001,9 +1024,13 @@ class TestForkedLevels:
         assert log == ["fork", "fork", "no child"]
 
     def test_workers_capped_at_cpu_count(self, failing_forks, monkeypatch, capsys):
-        # 324 levels on 8 CPUs ask for 7 children; each fork fails here, so the
-        # parent solves every level and the output is the serial one
-        args = ["minimize", "--x", "1e-4", "--gamma", "1e300", "--omega", "1e300",
+        # 324 levels at a ratio with slices to solve, on 8 CPUs, ask for 7
+        # children; each fork fails here, so the parent solves every level
+        # and the output is the serial one.  Each level's solve is stubbed
+        # by one infeasible result, which keeps the 324 solves cheap.
+        infeasible = optimizer.minimize_absorption(optimizer.MinimizeConfig(1e-4))
+        monkeypatch.setattr(optimizer, "minimize_absorption", lambda config: infeasible)
+        args = ["minimize", "--x", "1", "--gamma", "1e300", "--omega", "1e300",
                 "--refine-levels", "324"]
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial = cli.main(args), capsys.readouterr()

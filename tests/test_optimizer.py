@@ -279,6 +279,42 @@ class TestMinimize:
         ]
 
 
+def lossless_bound(eps_s, x_target):
+    """The scan's lossless feasibility test as first written: raises where
+    x * (eps_s - 1)**2 underflows to zero or (eps_s - 1)**2 overflows."""
+    return 4.0 * eps_s / (x_target * (eps_s - 1.0) ** 2) > 1.05
+
+
+class TestSurelyInfeasible:
+    """The scan's lossless feasibility rule is total over the inputs of a config."""
+
+    @given(st.floats(EPS_S_MIN, 1.8e302), st.floats(5e-324, 1.8e308))
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    def test_first_form_kept_where_it_returns(self, eps_s, x_target):
+        try:
+            expected = lossless_bound(eps_s, x_target)
+        except (ZeroDivisionError, OverflowError):
+            return
+        assert optimizer._surely_infeasible(eps_s, x_target) is expected
+
+    # an underflowed denominator is out of reach; an overflowed square is
+    # decided by its product, 4 / (x * eps_s) > 1.05 at eps_s = 1e200
+    @pytest.mark.parametrize("eps_s, x_target, raised, expected", [
+        (EPS_S_MIN, 1e-320, ZeroDivisionError, True),
+        (1e200, 1e-300, OverflowError, True),
+        (1e200, 1e-100, OverflowError, False),
+    ])
+    def test_decided_where_the_first_form_raises(self, eps_s, x_target, raised, expected):
+        with pytest.raises(raised):
+            lossless_bound(eps_s, x_target)
+        assert optimizer._surely_infeasible(eps_s, x_target) is expected
+
+    def test_falls_as_eps_s_grows(self):
+        decisions = [optimizer._surely_infeasible(eps, 0.01) for eps in optimizer._scan_grid(1e3)]
+        assert decisions == sorted(decisions, reverse=True)
+        assert decisions[0] and not decisions[-1]
+
+
 class TestExtractAlpha:
     def test_default_ladder(self):
         ex = extract_alpha(1.0)
@@ -536,7 +572,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("cpus, children", [(2, 1), (1, 0), (None, 0)])
     def test_pool_capped_at_cpu_count(self, failing_forks, monkeypatch, cpus, children):
-        # jobs far above the CPUs (say --points 5000 --jobs 5000) forks no more
+        # jobs far above the CPUs (`sweep --points 5000` passes 5000) forks no more
         # processes than there are CPUs; one CPU, or an unknown count, forks none
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         xs = [0.5, 1.0, 2.0]
@@ -573,6 +609,21 @@ class TestSweep:
             optimizer._minimize_all(configs, 2)
         assert solved == [1.0, 3.0, 2.0]
         assert len(failing_forks) == 1
+
+    # x <= 1e-3 has no slice to solve: the lossless bound holds at eps_s_max,
+    # so the scan skips every slice; one fork per working config beyond the first
+    @pytest.mark.parametrize("xs, forks", [
+        ((1e-4, 1e-3, 5e-324), 0),
+        ((1e-4, 0.5, 1e-3, 1.0, 2.0), 2),
+    ])
+    def test_forks_follow_the_configs_with_a_slice_to_solve(
+        self, failing_forks, monkeypatch, xs, forks
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        configs = [MinimizeConfig(x) for x in xs]
+        serial = [minimize_absorption(config) for config in configs]
+        assert repr(optimizer._minimize_all(configs, 99)) == repr(serial)
+        assert len(failing_forks) == forks
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected_before_any_row(self, monkeypatch, jobs):
