@@ -79,14 +79,12 @@ def _cannot_write(out: str, exc: OSError) -> str:
 def _extract(x: float, levels: Sequence, eps_s_max: float, warnings: list) -> tuple:
     """extract_alpha over `levels`, as the CLI reports it: an optimizer.AlphaExtraction.
 
-    Each level with an eps_s slice to solve gets a process, up to one per CPU;
-    no output byte changes, a failing level's error included (_minimize_all).
     A drift that breaks the separable scaling adds a line to warnings; one
     level measures no drift.
     """
     from . import optimizer
 
-    ex = optimizer._extract_alpha(x, levels, eps_s_max, len(levels))
+    ex = optimizer.extract_alpha(x, levels, eps_s_max)
     if ex.drift > optimizer._DRIFT_TOL:
         warnings.append(
             f"warning: alpha_drift = {ex.drift!r} exceeds "
@@ -177,7 +175,7 @@ def cmd_sweep(args, warnings: list) -> tuple[list, int]:
     if args.x_min <= 0:
         raise ValueError("--x-min must be positive")
     grid = _grid(args.x_min, args.x_max, args.points, args.log)
-    rows = optimizer.sweep(grid, jobs=len(grid))
+    rows = optimizer.sweep(grid)
     records = [
         [
             ("x", row.x),

@@ -27,8 +27,7 @@ again and compared field by field, and any difference leaves the table
 empty.  A table slice keeps the valley built from its row, so every ratio
 solved at the default working point reuses it; every other slice is
 searched on each call.  The store is per process and holds at most those
-512 valleys; a child of _minimize_all inherits its parent's, loaded
-before the fork.  Within a solve each phase is evaluated once: a root's p
+512 valleys.  Within a solve each phase is evaluated once: a root's p
 and x come from the evaluation brentq made at that phase.  Results depend
 on none of these: a stored valley or a table row gives the floats a fresh
 search would.
@@ -37,16 +36,14 @@ makes, so a shipped or reused evaluation counts nothing.  A slice's
 index comes from slab._index_pair as floats, so a solve builds no
 Resonance, DrudeLorentzModel or ComplexIndex record.
 
-sweep(jobs > 1) and the CLI's ladder and sweep fork by _minimize_all, one
-process per CPU and per config with an eps_s slice to solve at most.
+extract_alpha solves its ladder levels, and sweep its rows, one after the
+other in the calling process.
 """
 
 from __future__ import annotations
 
 import functools
-import marshal
 import math
-import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
@@ -623,127 +620,6 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     )
 
 
-def _single_threaded() -> bool:
-    """True if this process runs no thread but its main one.
-
-    A forked child holds only the forking thread, so a lock another thread
-    held stays locked in it; Python 3.12 on warns at such a fork.  That
-    warning counts the threads the OS lists for the process, a BLAS
-    library's idle workers too, so /proc is read where it exists.
-    threading is consulted only if already imported: importing it would
-    cost every cold start.
-    """
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return True
-
-
-def _solve_share(
-    configs: Sequence[MinimizeConfig],
-) -> tuple[list[MinimizeResult], Exception | None]:
-    """minimize_absorption of configs up to the first raise, and that exception or None."""
-    results = []
-    for config in configs:
-        try:
-            results.append(minimize_absorption(config))
-        except Exception as exc:  # noqa: BLE001 - the caller decides who raises it
-            return results, exc
-    return results, None
-
-
-def _send(fd: int, results: Sequence[MinimizeResult]) -> None:
-    """Write results to fd by marshal, which writes plain tuples, not namedtuples."""
-    rows = [(*res[:-1], tuple(res.diagnostics)) for res in results]
-    data = memoryview(marshal.dumps(rows))
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _receive(fd: int) -> list[MinimizeResult]:
-    """The results _send wrote to fd; none if the writer died before it finished."""
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    try:
-        rows = marshal.loads(b"".join(chunks))
-    except (EOFError, ValueError):
-        return []
-    return [MinimizeResult(*head, MinimizeDiagnostics(*diag)) for *head, diag in rows]
-
-
-def _minimize_all(configs: Sequence[MinimizeConfig], workers: int) -> list[MinimizeResult]:
-    """[minimize_absorption(c) for c in configs], in up to `workers` processes.
-
-    At most one process per CPU and per config with a slice to solve (not
-    _surely_infeasible at eps_s_max) runs.  This process is worker 0; the
-    children forked from it inherit its valley table.  Worker k solves
-    configs[k::workers] up to its first raise (_solve_share) and a child
-    sends its results back by marshal.  The results are then taken in
-    order: where this process's share stopped, its exception is raised; a
-    config no child delivered (it raised there, the child died, or the fork
-    failed) is solved again here.  So every result and the first exception
-    are the serial loop's.  Every child is reaped before this returns or
-    raises, and killed first on an exception, KeyboardInterrupt included.
-    Below two workers, without os.fork, or with another thread running,
-    nothing forks.
-    """
-    working = sum(not _surely_infeasible(c.eps_s_max, c.x_target) for c in configs)
-    workers = min(workers, working, os.cpu_count() or 1)
-    if workers < 2 or not hasattr(os, "fork") or not _single_threaded():
-        return [minimize_absorption(config) for config in configs]
-    if any(config[1:3] in DEFAULT_LEVELS for config in configs):
-        _scan_table()  # loaded before the fork, so that every child inherits it
-    shares: list[list[MinimizeResult]] = [[] for _ in range(workers)]
-    children: list[tuple[int, int, int]] = []  # (k, pid, read end) of each live child
-    try:
-        for k in range(1, workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                continue  # this child's share is solved here
-            if pid == 0:
-                try:
-                    _send(w, _solve_share(configs[k::workers])[0])
-                finally:
-                    # no parent cleanup, atexit hook or buffered output runs
-                    # twice; the parent reads the pipe, not the exit status
-                    os._exit(0)
-            os.close(w)
-            children.append((k, pid, r))
-        shares[0], raised = _solve_share(configs[::workers])
-        while children:
-            k, pid, r = children[-1]
-            shares[k] = _receive(r)
-            os.waitpid(pid, 0)
-            children.pop()
-            os.close(r)
-    finally:
-        if children:
-            import signal
-
-            for _, pid, r in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(r)
-    results = []
-    for i, config in enumerate(configs):
-        n, k = divmod(i, workers)
-        if n < len(shares[k]):
-            results.append(shares[k][n])
-        elif k == 0:
-            raise raised
-        else:
-            results.append(minimize_absorption(config))
-    return results
-
-
 def extract_alpha(
     x_target: float,
     levels: Sequence[tuple[float, float]] = DEFAULT_LEVELS,
@@ -754,26 +630,17 @@ def extract_alpha(
     The inter-level relative drift of alpha is the error estimate; drift
     above _DRIFT_TOL flags a departure from the separable small-parameter
     scaling.  One level measures no drift: drift is NaN and scaling_ok
-    False.  The levels are solved one after the other, in this process.
+    False.  Every level is checked before any is solved; the levels are
+    then solved one after the other, and the first that raises ends the
+    call.
     """
-    return _extract_alpha(x_target, levels, eps_s_max, 1)
-
-
-def _extract_alpha(
-    x_target: float,
-    levels: Sequence[tuple[float, float]],
-    eps_s_max: float,
-    workers: int,
-) -> AlphaExtraction:
-    """extract_alpha with its levels solved by _minimize_all over `workers`."""
     if not levels:
         raise ValueError("need at least one refinement level")
-    # every level is validated before any is solved
     configs = [
         MinimizeConfig(x_target, gamma_tilde, omega_tilde, eps_s_max)
         for gamma_tilde, omega_tilde in levels
     ]
-    results = tuple(_minimize_all(configs, workers))
+    results = tuple(map(minimize_absorption, configs))
     if not all(r.feasible for r in results):
         return AlphaExtraction(
             alpha=math.nan, drift=math.nan, scaling_ok=False, feasible=False,
@@ -795,12 +662,11 @@ def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
 
     jobs and every ratio (by MinimizeConfig) are checked before any row is
     solved, so jobs < 1 or a non-finite or non-positive ratio raises
-    ValueError up front.
-    Per-row infeasibility is recorded in the row, never raised.  With
-    jobs > 1 rows are solved by _minimize_all in at most jobs processes at
-    once, this one included, and never more than one per CPU or per row
-    with an eps_s slice to solve; the output order and content, and the
-    exception of a failing row, are identical regardless of jobs.
+    ValueError up front.  The rows are then solved one after the other;
+    per-row infeasibility is recorded in the row, never raised, and the
+    first row that raises ends the call.  jobs selects nothing: every
+    value solves the same rows in this process.  It is kept for the
+    benchmark's callers and goes at the next change to the benchmark.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -812,5 +678,5 @@ def sweep(x_values: Sequence[float], jobs: int = 1) -> tuple[SweepRow, ...]:
             x=cfg.x_target, alpha=res.alpha, eps_s_star=res.eps_s_star,
             d_star=res.d_star, p_min=res.p_min, feasible=res.feasible,
         )
-        for cfg, res in zip(configs, _minimize_all(configs, jobs))
+        for cfg, res in zip(configs, map(minimize_absorption, configs))
     )

@@ -1,4 +1,3 @@
-import errno
 import importlib.util
 import os
 import subprocess
@@ -39,24 +38,3 @@ def run_cli(cli_env):
         )
 
     return run
-
-
-@pytest.fixture
-def failing_forks(monkeypatch):
-    """The os.fork calls of optimizer._minimize_all; each fails, so no process starts.
-
-    A failed fork leaves its share to the parent.  It forks only in a
-    process without other threads, and numpy's BLAS workers run in the
-    test process, so that check is patched to pass.
-    """
-    from bsbound import optimizer
-
-    asked = []
-
-    def fork():
-        asked.append(1)
-        raise OSError(errno.EAGAIN, "counted, not forked")
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(optimizer, "_single_threaded", lambda: True)
-    return asked

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 import tracemalloc
 
 import numpy as np
@@ -218,7 +217,9 @@ class TestSweep:
         (("sweep", "--x-min", "1e-4", "--x-max", "1", "--points", "2", "--log"), 0),
         (("eval", "--eps-s", "6.2", "--gamma", "1e-3", "--omega", "1e-3",
           "--thickness", "0"), 0),
-    ], ids=["drift-nan", "infeasible-row", "infeasible-sweep-row", "x-inf"])
+        # no slice of either level reaches the ratio
+        (("bound", "--x", "1e-3", "--omega", "0.1"), 3),
+    ], ids=["drift-nan", "infeasible-row", "infeasible-sweep-row", "x-inf", "infeasible-bound"])
     def test_json_non_finite_written_as_csv_strings(self, capsys, args, code):
         assert cli.main([*args, "--format", "json"]) == code
         records = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
@@ -273,7 +274,7 @@ class TestSweep:
         assert res.returncode == 2
 
     def test_jobs_is_unrecognized(self, run_cli):
-        # the process count follows the rows (TestForkedLevels), not a flag
+        # the process count is not an option: every row runs in this process
         res = run_cli("sweep", "--x-min", "1", "--x-max", "2", "--points", "2", "--jobs", "2")
         assert res.returncode == 2
         assert res.stdout == ""
@@ -347,7 +348,14 @@ class TestSolveFailure:
         ["minimize", "--x", "1", "--eps-s-max", "1e11"],
         ["bound", "--x", "1e8", "--omega", "0.1"],
         ["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2", "--log"],
-    ], ids=["1e8", "1e9", "1e30", "eps-s-max-1e11", "bound", "sweep"])
+        # the first row raises
+        ["sweep", "--x-min", "22387211.385683396", "--x-max", "25118864.315095823",
+         "--points", "2", "--log"],
+        # the last row raises after two solved ones
+        ["sweep", "--x-min", "25118864.315095823", "--x-max", "28183829.31264455",
+         "--points", "3", "--log"],
+    ], ids=["1e8", "1e9", "1e30", "eps-s-max-1e11", "bound", "sweep", "sweep-first-row",
+            "sweep-last-row"])
     def test_exit_2(self, run_cli, args):
         res = run_cli(*args)
         assert res.returncode == 2
@@ -902,143 +910,18 @@ class TestImports:
         assert 0.0 < float(res.stdout[len(golden):]) < 1e-9
 
 
-# `bsbound ARGS` in a fresh process: python -c RUNNER CPUS LOG MODE ARGS.
-# os.cpu_count returns CPUS; every os.fork the parent calls, and after
-# cli.main whether a child of it is left, is written to the file LOG.
-# MODE "die" makes a forked child leave by os._exit(1) before it delivers;
-# "interrupt" makes the parent's own level raise KeyboardInterrupt while
-# the child's sleeps, and the interrupt ends the run with exit code 130.
-RUNNER = """
-import os, sys, time
-cpus, log, mode, *argv = sys.argv[1:]
-os.cpu_count = lambda: int(cpus)
-parent = os.getpid()
-
-def note(text):
-    with open(log, "a") as fh:
-        fh.write(text + "\\n")
-
-fork = os.fork
-
-def counted_fork():
-    note("fork")
-    return fork()
-
-os.fork = counted_fork
-from bsbound import optimizer, cli
-
-solve = optimizer.minimize_absorption
-
-def patched(config):
-    if mode == "die" and os.getpid() != parent:
-        os._exit(1)
-    if mode == "interrupt":
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(120)
-    return solve(config)
-
-optimizer.minimize_absorption = patched
-try:
-    code = cli.main(argv)
-except KeyboardInterrupt:
-    code = 130
-try:
-    os.waitpid(-1, os.WNOHANG)
-    note("child left")
-except ChildProcessError:
-    note("no child")
-sys.exit(code)
-"""
-
-
-class TestForkedLevels:
-    """bound and minimize solve their ladder levels, and sweep its rows, in
-    forked processes: one for each level or row with an eps_s slice to
-    solve, at most one per CPU.  stdout, stderr and the exit code are the
-    serial run's.
+class TestOneProcess:
+    """bound and minimize solve their ladder levels, and sweep its rows, one
+    after the other in the command's own process: nothing forks.
     """
 
-    @pytest.fixture
-    def run(self, cli_env, tmp_path):
-        def run(cpus, mode, *args):
-            log = tmp_path / f"log-{len(list(tmp_path.iterdir()))}"
-            log.touch()
-            proc = subprocess.run(
-                [sys.executable, "-c", RUNNER, str(cpus), str(log), mode, *args],
-                capture_output=True, text=True, env=cli_env, timeout=180,
-            )
-            return (proc.returncode, proc.stdout, proc.stderr), log.read_text().split("\n")[:-1]
-
-        return run
-
-    # name -> (args, CPUs, forks)
-    CASES = {
-        "bound": (["bound", "--x", "1", "--omega", "0.1"], 8, 1),
-        # exit 3: no slice of either level can reach the ratio
-        "bound-infeasible": (["bound", "--x", "1e-3", "--omega", "0.1"], 8, 0),
-        "minimize-reflective": (["minimize", "--x", "0.05"], 8, 1),
-        "minimize-3-levels": (["minimize", "--x", "1", "--refine-levels", "3"], 8, 2),
-        "minimize-infeasible": (["minimize", "--x", "1e-4"], 8, 0),
-        # exit 2: both levels raise, the second in the child
-        "minimize-failing": (["minimize", "--x", "1e8"], 8, 1),
-        "sweep": (["sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3", "--log"], 8, 2),
-        # the 1e-4 row has no slice to solve
-        "sweep-one-working-row": (["sweep", "--x-min", "1e-4", "--x-max", "1", "--points", "2",
-                                   "--log"], 8, 0),
-        "sweep-failing": (["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2",
-                           "--log"], 8, 1),
-        # exit 2: the parent's own first row raises
-        "sweep-parent-raises": (["sweep", "--x-min", "22387211.385683396",
-                                 "--x-max", "25118864.315095823", "--points", "2",
-                                 "--log"], 2, 1),
-        # exit 2: the parent's row 2 raises after the child delivered row 1
-        "sweep-parent-raises-last": (["sweep", "--x-min", "25118864.315095823",
-                                      "--x-max", "28183829.31264455", "--points", "3",
-                                      "--log"], 2, 1),
-    }
-
-    @pytest.mark.parametrize("name", list(CASES))
-    def test_forked_run_is_the_serial_run(self, run, name):
-        args, cpus, forks = self.CASES[name]
-        serial, serial_log = run(1, "-", *args)
-        assert serial_log == ["no child"]
-        forked, forked_log = run(cpus, "-", *args)
-        assert forked == serial
-        assert forked_log == ["fork"] * forks + ["no child"]
-
-    @pytest.mark.parametrize("name", ["bound", "minimize-3-levels", "sweep"])
-    def test_child_that_dies_before_delivering(self, run, name):
-        args, cpus, forks = self.CASES[name]
-        serial, _ = run(1, "-", *args)
-        died, log = run(cpus, "die", *args)
-        assert died == serial
-        assert log == ["fork"] * forks + ["no child"]
-
-    def test_interrupt_kills_and_reaps_the_children(self, run):
-        start = time.monotonic()
-        (code, out, err), log = run(8, "interrupt", "minimize", "--x", "1", "--refine-levels", "3")
-        # the children sleep for two minutes unless killed
-        assert time.monotonic() - start < 60
-        assert (code, out) == (130, "")
-        assert log == ["fork", "fork", "no child"]
-
-    def test_workers_capped_at_cpu_count(self, failing_forks, monkeypatch, capsys):
-        # 324 levels at a ratio with slices to solve, on 8 CPUs, ask for 7
-        # children; each fork fails here, so the parent solves every level
-        # and the output is the serial one.  Each level's solve is stubbed
-        # by one infeasible result, which keeps the 324 solves cheap.
-        infeasible = optimizer.minimize_absorption(optimizer.MinimizeConfig(1e-4))
-        monkeypatch.setattr(optimizer, "minimize_absorption", lambda config: infeasible)
-        args = ["minimize", "--x", "1", "--gamma", "1e300", "--omega", "1e300",
-                "--refine-levels", "324"]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        serial = cli.main(args), capsys.readouterr()
-        assert serial[0] == 3
-        assert failing_forks == []
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert (cli.main(args), capsys.readouterr()) == serial
-        assert len(failing_forks) == 7
+    def test_no_command_forks(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+        for name in ["bound_headline.csv", "minimize_three_levels.csv", "sweep_small.csv"]:
+            assert cli.main(make_goldens.CASES[name]) == 0
+            assert capsys.readouterr() == ((GOLDEN / name).read_text(), "")
+        xs = [0.5, 1.0, 2.0]
+        assert optimizer.sweep(xs, jobs=2) == optimizer.sweep(xs)
 
 
 class TestMisc:

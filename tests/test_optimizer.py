@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -530,23 +527,6 @@ class TestSweep:
             res.alpha, res.eps_s_star, res.d_star, res.p_min,
         )
 
-    def test_parallel_rows_identical(self, cli_env):
-        # in a fresh process: numpy's BLAS threads keep this one from forking
-        code = (
-            "import os\n"
-            "os.cpu_count = lambda: 2\n"
-            "forks = []\n"
-            "fork = os.fork\n"
-            "os.fork = lambda: forks.append(1) or fork()\n"
-            "from bsbound.optimizer import sweep\n"
-            "xs = [0.5, 1.0, 2.0]\n"
-            "assert sweep(xs, jobs=1) == sweep(xs, jobs=2)\n"
-            "assert forks == [1], forks\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=cli_env, timeout=180)
-        assert proc.returncode == 0, proc.stderr
-
     def test_infeasible_rows_are_data(self):
         rows = sweep([1e-4, 1.0])  # 1e-4 needs eps_s far beyond the default range
         assert not rows[0].feasible
@@ -562,68 +542,25 @@ class TestSweep:
         with pytest.raises(ValueError, match="x_target must be positive"):
             sweep([1.0, 2.0, 0.0])
 
-    def test_pool_sized_by_rows(self, failing_forks, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        xs = [0.5, 1.0, 2.0]
-        assert sweep(xs, jobs=4) == sweep(xs, jobs=1)
-        assert sweep([1.0], jobs=4) == sweep([1.0])
-        # three rows: the parent and two children
-        assert len(failing_forks) == 2
-
-    @pytest.mark.parametrize("cpus, children", [(2, 1), (1, 0), (None, 0)])
-    def test_pool_capped_at_cpu_count(self, failing_forks, monkeypatch, cpus, children):
-        # jobs far above the CPUs (`sweep --points 5000` passes 5000) forks no more
-        # processes than there are CPUs; one CPU, or an unknown count, forks none
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        xs = [0.5, 1.0, 2.0]
-        assert sweep(xs, jobs=5000) == sweep(xs)
-        assert len(failing_forks) == children
-
-    def test_minimize_all_applies_the_cpu_cap(self, failing_forks, monkeypatch):
-        # the one owner of the cap: callers pass the processes they could use
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        configs = [MinimizeConfig(x) for x in (0.5, 1.0, 2.0, 5.0, 20.0)]
-        serial = [minimize_absorption(config) for config in configs]
-        # repr: a NaN field compares unequal to itself
-        assert repr(optimizer._minimize_all(configs, 99)) == repr(serial)
-        assert len(failing_forks) == 2
-
     @pytest.mark.parametrize("failing, error", [({3.0}, "3.0"), ({2.0, 3.0}, "2.0")])
     def test_first_raise_in_config_order_and_no_config_solved_twice(
-        self, failing_forks, monkeypatch, failing, error
+        self, monkeypatch, failing, error
     ):
-        # the fork fails, so this process solves its share [1, 3] up to its
-        # raise at 3, then the child's 2; the first raise in config order wins
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # the rows are solved in order; the first that raises ends the sweep
+        infeasible = minimize_absorption(MinimizeConfig(1e-4))
         solved = []
 
         def solve(config):
             solved.append(config.x_target)
             if config.x_target in failing:
                 raise RuntimeError(repr(config.x_target))
-            return config.x_target
+            return infeasible
 
         monkeypatch.setattr(optimizer, "minimize_absorption", solve)
-        configs = [MinimizeConfig(x) for x in (1.0, 2.0, 3.0, 4.0)]
         with pytest.raises(RuntimeError, match=error):
-            optimizer._minimize_all(configs, 2)
-        assert solved == [1.0, 3.0, 2.0]
-        assert len(failing_forks) == 1
-
-    # x <= 1e-3 has no slice to solve: the lossless bound holds at eps_s_max,
-    # so the scan skips every slice; one fork per working config beyond the first
-    @pytest.mark.parametrize("xs, forks", [
-        ((1e-4, 1e-3, 5e-324), 0),
-        ((1e-4, 0.5, 1e-3, 1.0, 2.0), 2),
-    ])
-    def test_forks_follow_the_configs_with_a_slice_to_solve(
-        self, failing_forks, monkeypatch, xs, forks
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        configs = [MinimizeConfig(x) for x in xs]
-        serial = [minimize_absorption(config) for config in configs]
-        assert repr(optimizer._minimize_all(configs, 99)) == repr(serial)
-        assert len(failing_forks) == forks
+            sweep([1.0, 2.0, 3.0, 4.0])
+        # every row up to the first failing one, and none after it
+        assert solved == [x for x in (1.0, 2.0, 3.0, 4.0) if x <= float(error)]
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected_before_any_row(self, monkeypatch, jobs):
