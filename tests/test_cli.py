@@ -923,6 +923,87 @@ class TestOneProcess:
         xs = [0.5, 1.0, 2.0]
         assert optimizer.sweep(xs, jobs=2) == optimizer.sweep(xs)
 
+    # name -> (args, exit code, minimizations: one per level or row)
+    CASES = {
+        "bound": (["bound", "--x", "1", "--omega", "0.1"], 0, 2),
+        # no slice of either level can reach the ratio
+        "bound-infeasible": (["bound", "--x", "1e-3", "--omega", "0.1"], 3, 2),
+        "minimize-reflective": (["minimize", "--x", "0.05"], 0, 2),
+        "minimize-3-levels": (["minimize", "--x", "1", "--refine-levels", "3"], 0, 3),
+        "minimize-infeasible": (["minimize", "--x", "1e-4"], 3, 2),
+        # the first level raises and ends the run
+        "minimize-failing": (["minimize", "--x", "1e8"], 2, 1),
+        "sweep": (["sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3", "--log"], 0, 3),
+        # the 1e-4 row has no slice to solve
+        "sweep-one-working-row": (["sweep", "--x-min", "1e-4", "--x-max", "1", "--points", "2",
+                                   "--log"], 0, 2),
+        "sweep-failing": (["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2",
+                           "--log"], 2, 2),
+        # the first row raises
+        "sweep-first-row-raises": (["sweep", "--x-min", "22387211.385683396",
+                                    "--x-max", "25118864.315095823", "--points", "2",
+                                    "--log"], 2, 1),
+        # the last row raises after two solved ones
+        "sweep-last-row-raises": (["sweep", "--x-min", "25118864.315095823",
+                                   "--x-max", "28183829.31264455", "--points", "3",
+                                   "--log"], 2, 3),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_in_process_run_is_the_fresh_process_run(self, run_cli, monkeypatch, capsys, name):
+        args, code, solves = self.CASES[name]
+        fresh = run_cli(*args)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+        solved = []
+        solve = optimizer.minimize_absorption
+
+        def counted(config):
+            solved.append(config)
+            return solve(config)
+
+        monkeypatch.setattr(optimizer, "minimize_absorption", counted)
+        out, err = cli.main(args), capsys.readouterr()
+        assert (out, err.out, err.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert out == code
+        # each level or row once, in order, up to the first that raises
+        assert len(solved) == solves
+        assert len(set(solved)) == solves
+
+    def test_interrupt_ends_the_run_at_its_level(self, monkeypatch, capsys):
+        solved = []
+
+        def interrupted(config):
+            solved.append(config)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(optimizer, "minimize_absorption", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["minimize", "--x", "1", "--refine-levels", "3"])
+        assert len(solved) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("cpus", [1, 8, None])
+    def test_output_ignores_the_cpu_count(self, monkeypatch, capsys, cpus):
+        # 324 levels at a ratio with slices to solve, each stubbed by one
+        # infeasible result, which keeps the 324 solves cheap
+        infeasible = optimizer.minimize_absorption(optimizer.MinimizeConfig(1e-4))
+        solved = []
+
+        def solve(config):
+            solved.append(config)
+            return infeasible
+
+        monkeypatch.setattr(optimizer, "minimize_absorption", solve)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+        args = ["minimize", "--x", "1", "--gamma", "1e300", "--omega", "1e300",
+                "--refine-levels", "324"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = cli.main(args), capsys.readouterr()
+        assert serial[0] == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert (cli.main(args), capsys.readouterr()) == serial
+        assert len(solved) == 2 * 324
+
 
 class TestMisc:
     def test_constants_flag(self, run_cli):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -541,6 +542,29 @@ class TestSweep:
         monkeypatch.setattr(optimizer, "minimize_absorption", pytest.fail)
         with pytest.raises(ValueError, match="x_target must be positive"):
             sweep([1.0, 2.0, 0.0])
+
+    # x <= 1e-3 has no slice to solve: the lossless bound holds at eps_s_max
+    @pytest.mark.parametrize("xs", [(1e-4, 1e-3, 5e-324), (1e-4, 0.5, 1e-3, 1.0, 2.0)])
+    def test_rows_are_the_per_ratio_minimizations(self, xs):
+        rows = sweep(xs)
+        for x, row in zip(xs, rows, strict=True):
+            res = minimize_absorption(MinimizeConfig(x))
+            # repr: a NaN field compares unequal to itself
+            assert repr(row) == repr(optimizer.SweepRow(
+                x=x, alpha=res.alpha, eps_s_star=res.eps_s_star, d_star=res.d_star,
+                p_min=res.p_min, feasible=res.feasible,
+            ))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 5000])
+    def test_jobs_selects_nothing(self, monkeypatch, jobs):
+        # `sweep --points 5000` once passed jobs=5000; every value solves
+        # each row once, in this process
+        xs = [0.5, 1.0, 2.0]
+        serial = sweep(xs)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+        solves = count_calls(monkeypatch, "minimize_absorption")
+        assert sweep(xs, jobs=jobs) == serial
+        assert solves() == len(xs)
 
     @pytest.mark.parametrize("failing, error", [({3.0}, "3.0"), ({2.0, 3.0}, "2.0")])
     def test_first_raise_in_config_order_and_no_config_solved_twice(
