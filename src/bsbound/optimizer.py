@@ -9,10 +9,10 @@ The search works in the optical phase phi = eta0 * omega_tilde * d, where
 eta0 = sqrt(eps_s).  Within one interference period phi in (0, pi) the
 ratio x(phi) falls from large values to a single valley and rises again,
 so a target ratio has at most two roots ("first" below the valley,
-"second" above).  The outer search scans eps_s geometrically, solving
-both branches, and refines by golden section only the best bracket of
-the branch whose lowest scan p wins; the other branch is refined only if
-that search finds no root.
+"second" above).  The thinner first root absorbs less, so the outer
+search scans eps_s geometrically and refines by golden section the first
+branch's best bracket.  The scan solves the second branch too, for
+MinimizeDiagnostics.rejected_branch_p and the residual check alone.
 
 One slice solve serves minimize_absorption and solve_thickness_for_ratio;
 in both, a root that misses MinimizeConfig.constraint_rtol raises
@@ -90,8 +90,6 @@ _MAXITER = 100
 _GOLDEN_RTOL = 1e-7
 # eps_s slices of the outer scan
 _SCAN_POINTS = 256
-# the second branch must undercut the first's lowest scan p by this fraction to win
-_OBJECTIVE_RTOL = 1e-8
 # inter-level alpha drift above which the separable scaling is not trusted
 _DRIFT_TOL = 0.01
 # 0.1**k is zero from k = 324 on, so every longer ladder reaches gamma_tilde = 0
@@ -168,11 +166,10 @@ class MinimizeDiagnostics(
 
     slab_evaluations counts the slab._kernel calls it makes: a shipped
     valley and the table's load check count none, so the count does not
-    depend on what the process solved before.  refine_iterations sums the
-    iterations of the golden searches that ran: the scan winner's, and
-    the other branch's only if the winner's found no root.
-    rejected_branch_p is the lowest scan p of the branch not returned,
-    unrefined; NaN if that branch has no scan root or nothing is feasible.
+    depend on what the process solved before.  refine_iterations counts
+    the iterations of the first branch's golden search.
+    rejected_branch_p is the second branch's lowest scan p, unrefined;
+    NaN if it has no scan root or nothing is feasible.
     """
 
     __slots__ = ()
@@ -533,14 +530,13 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
     """Minimum absorption over eps_s and thickness at a fixed ratio.
 
     Scans eps_s from EPS_S_MIN to config.eps_s_max (skipping slices that
-    cannot reach x_target even without loss) and picks the branch with the
-    lower scan p; ties within the objective tolerance go to the thinner
-    slab, the first branch.  Only that branch's best bracket is
-    golden-section refined and reported, unless its refinement finds no
-    root: then the other branch is refined and reported.  A root that
-    misses the ratio by more than config.constraint_rtol raises
-    RuntimeError.  A feasible optimum with p_min <= 0, a working point
-    below the resolution of p, raises ValueError.
+    cannot reach x_target even without loss), solving both branches, and
+    golden-section refines the first branch's best bracket.  The result is
+    infeasible if the first branch has no scan root or its refinement
+    finds none.  A root of either branch that misses the ratio by more
+    than config.constraint_rtol raises RuntimeError.  A feasible optimum
+    with p_min <= 0, a working point below the resolution of p, raises
+    ValueError.
     """
     grid = _scan_grid(config.eps_s_max)
     x_target = config.x_target
@@ -555,46 +551,39 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         evals += n
         return roots
 
-    # branch -> (p, slice index) of the branch's lowest p in the scan
-    best: dict[str, tuple[float, int]] = {}
+    # the first branch's lowest scan p and its slice index, and the second
+    # branch's lowest scan p, which only rejected_branch_p reports
+    p_first, i_first = math.inf, -1
+    p_second = math.inf
     for i, eps in enumerate(grid):
         if _surely_infeasible(eps, x_target):
             continue
         roots = solve(eps, _BRANCHES)
         scan_feasible += bool(roots)
         for root in roots:
-            if root.branch not in best or root.p < best[root.branch][0]:
-                best[root.branch] = (root.p, i)
+            if root.branch == "second":
+                p_second = min(p_second, root.p)
+            elif root.p < p_first:
+                p_first, i_first = root.p, i
 
-    # (scan p, slice index, branch) of each branch with a root, the winner
-    # first: smaller p wins; ties within the objective tolerance go to the
-    # thinner slab, which is the first branch
-    ranked = [(*best[branch], branch) for branch in _BRANCHES if branch in best]
-    if len(ranked) == 2 and ranked[1][0] < ranked[0][0] * (1.0 - _OBJECTIVE_RTOL):
-        ranked.reverse()
-
-    # the winner is refined; the other branch only if that search finds no root
     refine_iters = 0
     chosen = _NO_ROOT
-    for _, i, branch in ranked:
+    if i_first >= 0:
         # eps_s -> root; the golden search returns one of its points
         refined: dict[float, _Root] = {}
 
         def p_of_eps(eps: float) -> float:
-            for root in solve(eps, (branch,)):
+            for root in solve(eps, ("first",)):
                 refined[eps] = root
                 return root.p
             return math.inf
 
-        eps_star, p_star, iters = _golden_min(
-            p_of_eps, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        eps_star, p_star, refine_iters = _golden_min(
+            p_of_eps, grid[max(i_first - 1, 0)], grid[min(i_first + 1, len(grid) - 1)]
         )
-        refine_iters += iters
         if math.isfinite(p_star):
             chosen = refined[eps_star]
-            break
     feasible = chosen is not _NO_ROOT
-    rejected = [p for p, _, branch in ranked if branch != chosen.branch]
     if chosen.p <= 0.0:
         raise ValueError(
             f"p_min = {chosen.p!r} is not positive at gamma*omega = "
@@ -615,7 +604,7 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
             scan_feasible=scan_feasible,
             refine_iterations=refine_iters,
             slab_evaluations=evals,
-            rejected_branch_p=rejected[0] if feasible and rejected else math.nan,
+            rejected_branch_p=p_second if feasible and math.isfinite(p_second) else math.nan,
         ),
     )
 

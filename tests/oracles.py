@@ -7,8 +7,8 @@ search over (eps_s, d) with local refinement, alpha0 is the
 closed-form leading order of alpha, and build_parser is the argparse
 parser the CLI used before it read its command line from a flag table.
 minimize_both_branches is the exception: it is the eps_s search the
-package ran before it refined only the branch that wins the scan, built
-from the package's own scan grid, slice solve and golden search.
+package ran before it refined the first branch alone, built from the
+package's own scan grid, slice solve and golden search.
 """
 
 from __future__ import annotations
@@ -275,6 +275,10 @@ def alpha0_min(x: float, eps_min: float, eps_max: float) -> tuple[float, float]:
 
 # --- the two-branch eps_s search ---------------------------------------------
 
+# the second branch must undercut the first's p by this fraction to win
+OBJECTIVE_RTOL = 1e-8
+
+
 def minimize_both_branches(
     config: optimizer.MinimizeConfig,
 ) -> tuple[optimizer.MinimizeResult, list[tuple[str, float]]]:
@@ -282,11 +286,12 @@ def minimize_both_branches(
 
     Scans eps_s as the package does, refines the best scan slice of each
     branch, and picks between the refined optima: the second wins only if
-    its p undercuts the first's by optimizer._OBJECTIVE_RTOL.  Returns the
-    result and (branch, lowest scan p) of each branch with a scan root,
-    the branch that wins the scan by the same rule first.
-    rejected_branch_p is the losing branch's refined p, and
-    refine_iterations and slab_evaluations count both refinements.
+    its p undercuts the first's by OBJECTIVE_RTOL.  Returns the result and
+    (branch, lowest scan p) of each branch with a scan root, the branch
+    that wins the scan by the same rule first.  rejected_branch_p is the
+    losing branch's refined p, and refine_iterations and slab_evaluations
+    count both refinements.  The package refines the first branch alone,
+    so it matches this search wherever the first branch wins.
     """
     grid = optimizer._scan_grid(config.eps_s_max)
     x_target, gamma_tilde, omega_tilde = config[:3]
@@ -300,7 +305,7 @@ def minimize_both_branches(
 
     def wins(p, q):
         # p of the second branch against q of the first
-        return p < q * (1.0 - optimizer._OBJECTIVE_RTOL)
+        return p < q * (1.0 - OBJECTIVE_RTOL)
 
     best = {}  # branch -> (scan p, slice index)
     for i, eps in enumerate(grid):
