@@ -488,6 +488,57 @@ class TestWinnerRefinement:
         # the second branch is not refined
         assert refined == [("first",)] * (res.diagnostics.refine_iterations + 2)
 
+    @staticmethod
+    def patch_roots(monkeypatch, edit):
+        """Pass each slice's roots through `edit`; returns the refinement slices' branches."""
+        real = optimizer._solve_slice
+        refined = []
+
+        def solve_slice(eps_s, gamma_tilde, omega_tilde, x_target, branches):
+            roots, evals = real(eps_s, gamma_tilde, omega_tilde, x_target, branches)
+            if len(branches) == 1:
+                refined.append(branches)
+            return [r for r in map(edit, roots) if r is not None], evals
+
+        monkeypatch.setattr(optimizer, "_solve_slice", solve_slice)
+        return refined
+
+    @pytest.mark.parametrize("margin", [1.0, 0.5e-8], ids=["second-lower", "near-tie"])
+    def test_first_branch_refined_when_the_second_scans_lower(self, monkeypatch, margin):
+        # the first branch's p is scaled so that its lowest scan p lies
+        # `margin` above the second's; no ranking hands the search over
+        config = MinimizeConfig(1.0)
+        (_, p_first), (_, p_second) = minimize_both_branches(config)[1]
+        scale = p_second * (1.0 + margin) / p_first
+        refined = self.patch_roots(
+            monkeypatch, lambda r: r._replace(p=r.p * scale) if r.branch == "first" else r
+        )
+        res = minimize_absorption(config)
+        assert res.feasible and res.branch == "first"
+        assert res.diagnostics.rejected_branch_p == p_second
+        assert refined == [("first",)] * (res.diagnostics.refine_iterations + 2)
+
+    def test_infeasible_when_the_first_branch_has_no_scan_root(self, monkeypatch):
+        refined = self.patch_roots(monkeypatch, lambda r: None if r.branch == "first" else r)
+        res = minimize_absorption(MinimizeConfig(1.0))
+        assert not res.feasible and res.branch == "none"
+        # the second branch's scan roots count, but nothing is refined
+        assert res.diagnostics.scan_feasible > 0
+        assert res.diagnostics.refine_iterations == 0 and refined == []
+        for value in (*res[:5], res.diagnostics.constraint_residual,
+                      res.diagnostics.rejected_branch_p):
+            assert math.isnan(value)
+
+    def test_second_branch_without_scan_root_clears_only_rejected_branch_p(self, monkeypatch):
+        config = MinimizeConfig(1.0)
+        expected = minimize_absorption(config)
+        self.patch_roots(monkeypatch, lambda r: None if r.branch == "second" else r)
+        res = minimize_absorption(config)
+        assert math.isfinite(expected.diagnostics.rejected_branch_p)
+        assert math.isnan(res.diagnostics.rejected_branch_p)
+        assert repr(res[:-1]) == repr(expected[:-1])
+        assert res.diagnostics[:4] == expected.diagnostics[:4]
+
 
 class TestSweep:
     def test_grid_shape(self):
