@@ -3,7 +3,8 @@
 Nothing here shares code paths with the package: the slab oracle is a
 plain 2x2 transfer matrix, the high-precision oracles recompute with
 mpmath at 50 digits, the minimization oracle is a brute-force grid
-search over (eps_s, d) with local refinement, alpha0 is the
+search over (eps_s, d) with local refinement (it skips slices by the
+package's own rule, optimizer._surely_infeasible), alpha0 is the
 closed-form leading order of alpha, and build_parser is the argparse
 parser the CLI used before it read its command line from a flag table.
 minimize_both_branches is the exception: it is the eps_s search the
@@ -214,8 +215,7 @@ def brute_force_min_p(
     grid = 1.0 + (eps_lo - 1.0) * ratio ** (np.arange(n_eps) / (n_eps - 1))
     best_p, best_i = math.inf, -1
     for i, eps in enumerate(grid):
-        # skip slices that cannot reach the target even without loss
-        if 4.0 * eps / (x_target * (eps - 1.0) ** 2) > 1.05:
+        if optimizer._surely_infeasible(float(eps), x_target):
             continue
         p = _min_p_at_eps(float(eps), x_target, gamma_t, omega_t, n_d, best_p * 1.5)
         if p < best_p:
@@ -309,7 +309,7 @@ def minimize_both_branches(
 
     best = {}  # branch -> (scan p, slice index)
     for i, eps in enumerate(grid):
-        if 4.0 * eps / (x_target * (eps - 1.0) ** 2) > 1.05:
+        if optimizer._surely_infeasible(eps, x_target):
             continue
         roots = solve(eps, optimizer._BRANCHES)
         scan_feasible += bool(roots)

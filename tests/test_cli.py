@@ -347,15 +347,17 @@ class TestSolveFailure:
         ["minimize", "--x", "1e30"],
         ["minimize", "--x", "1", "--eps-s-max", "1e11"],
         ["bound", "--x", "1e8", "--omega", "0.1"],
+        ["bound", "--x", "1e30", "--omega", "0.1"],
         ["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2", "--log"],
+        ["sweep", "--x-min", "1", "--x-max", "1e30", "--points", "2", "--log"],
         # the first row raises
         ["sweep", "--x-min", "22387211.385683396", "--x-max", "25118864.315095823",
          "--points", "2", "--log"],
         # the last row raises after two solved ones
         ["sweep", "--x-min", "25118864.315095823", "--x-max", "28183829.31264455",
          "--points", "3", "--log"],
-    ], ids=["1e8", "1e9", "1e30", "eps-s-max-1e11", "bound", "sweep", "sweep-first-row",
-            "sweep-last-row"])
+    ], ids=["1e8", "1e9", "1e30", "eps-s-max-1e11", "bound", "bound-1e30", "sweep",
+            "sweep-1e30", "sweep-first-row", "sweep-last-row"])
     def test_exit_2(self, run_cli, args):
         res = run_cli(*args)
         assert res.returncode == 2
@@ -368,7 +370,7 @@ class TestSolveFailure:
 class TestFloatRangeEnds:
     """Ratios near the smallest float and an eps_s search past 1e154 end in a
     record, not a traceback: the lossless feasibility bound stays total
-    where x * (eps_s - 1)**2 underflows or (eps_s - 1)**2 overflows.
+    where x * (eps_s - 1)**2 would underflow or (eps_s - 1)**2 overflow.
     """
 
     @pytest.mark.parametrize("args, code", [
@@ -728,8 +730,8 @@ class TestContract:
             assert all(math.isfinite(v) for v in record.values()), record
 
     # x >= 1.7e7 can miss the ratio tolerance: exit 2, not a traceback
-    # [contract]; below x ~ 2.5e-312 the lossless feasibility bound divides
-    # by an underflowed zero, and past eps_s ~ 1.34e154 it overflows
+    # [contract]; x runs down to the smallest float and eps_s_max up to
+    # 1.7e302, where the lossless feasibility bound must still not raise
     @given(
         st.floats(5e-324, 1e38),
         st.floats(1e-6, 0.5),
@@ -746,6 +748,31 @@ class TestContract:
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_bound(self, x, omega):
         self.check(["bound", f"--x={x!r}", f"--omega={omega!r}"])
+
+
+class TestValidationLines:
+    """A command rejects an input it cannot take with one error line and
+    exit 2, before any solve."""
+
+    @pytest.mark.parametrize("args, line", [
+        (["minimize", "--x", "1", "--refine-levels", "0"],
+         "error: --refine-levels must be at least 1"),
+        (["sweep", "--x-min", "2", "--x-max", "1", "--points", "3"],
+         "error: --x-min must be below --x-max, got 2.0 >= 1.0"),
+        (["sweep", "--x-min", "1", "--x-max", "2", "--points", "1"],
+         "error: --points must be at least 2"),
+        (["sweep", "--x-min", "-1", "--x-max", "1", "--points", "2"],
+         "error: --x-min must be positive"),
+        (["bound", "--x", "1", "--omega", "0.1", "--nvt", "0"],
+         "error: --nvt must be positive, got 0.0"),
+        (["bound", "--x", "1", "--omega", "0"], "error: --omega must be positive, got 0.0"),
+        (["eval", "--eps-s", "6.2", "--gamma", "0", "--omega", "0.1", "--thickness", "1"],
+         "error: gamma = 0 requires --allow-lossless"),
+    ], ids=["refine-levels", "x-range", "points", "x-min", "nvt", "omega", "lossless"])
+    def test_error_line(self, monkeypatch, capsys, args, line):
+        monkeypatch.setattr(optimizer, "minimize_absorption", pytest.fail)
+        assert cli.main(args) == 2
+        assert capsys.readouterr() == ("", line + "\n")
 
 
 class TestOutputFile:
@@ -933,12 +960,16 @@ class TestOneProcess:
         "minimize-infeasible": (["minimize", "--x", "1e-4"], 3, 2),
         # the first level raises and ends the run
         "minimize-failing": (["minimize", "--x", "1e8"], 2, 1),
+        # as above, from a first-branch root
+        "minimize-failing-first-branch": (["minimize", "--x", "1e30"], 2, 1),
         "sweep": (["sweep", "--x-min", "0.5", "--x-max", "2", "--points", "3", "--log"], 0, 3),
         # the 1e-4 row has no slice to solve
         "sweep-one-working-row": (["sweep", "--x-min", "1e-4", "--x-max", "1", "--points", "2",
                                    "--log"], 0, 2),
         "sweep-failing": (["sweep", "--x-min", "1", "--x-max", "1e8", "--points", "2",
                            "--log"], 2, 2),
+        "sweep-failing-first-branch": (["sweep", "--x-min", "1", "--x-max", "1e30",
+                                        "--points", "2", "--log"], 2, 2),
         # the first row raises
         "sweep-first-row-raises": (["sweep", "--x-min", "22387211.385683396",
                                     "--x-max", "25118864.315095823", "--points", "2",
@@ -1193,22 +1224,27 @@ class TestUnwritableWarning:
             )
         assert (res.returncode, res.stdout) == (0, (GOLDEN / "bound_headline.csv").read_bytes())
 
+    # the failed solve's root is on the second branch at 1e8, the first at 1e30
+    FAILING_X = ["1e8", "1e30"]
+
+    @pytest.mark.parametrize("x", FAILING_X)
     @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_warning_then_error_line(self, cli_env, unbuffered):
+    def test_warning_then_error_line(self, cli_env, unbuffered, x):
         # the omega warning is written before the failed solve's error line
         res = subprocess.run(
-            [sys.executable, "-m", "bsbound", "bound", "--x", "1e8", "--omega", "0.6"],
+            [sys.executable, "-m", "bsbound", "bound", "--x", x, "--omega", "0.6"],
             capture_output=True, text=True, env=self.env(cli_env, unbuffered), timeout=180,
         )
         assert (res.returncode, res.stdout) == (2, "")
         assert res.stderr.startswith(self.OMEGA_WARNING + "error: the constrained solve failed: ")
         assert res.stderr.count("\n") == 2
 
-    def test_closed_stderr_puts_nothing_on_stdout(self, cli_env):
+    @pytest.mark.parametrize("x", FAILING_X)
+    def test_closed_stderr_puts_nothing_on_stdout(self, cli_env, x):
         # print(file=None) would write the warning and the error line to stdout
         res = subprocess.run(
             ["sh", "-c", 'exec "$0" -m bsbound "$@" 2>&-', sys.executable,
-             "bound", "--x", "1e8", "--omega", "0.6"],
+             "bound", "--x", x, "--omega", "0.6"],
             stdout=subprocess.PIPE, env=cli_env, timeout=180,
         )
         assert (res.returncode, res.stdout) == (2, b"")

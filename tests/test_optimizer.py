@@ -289,11 +289,12 @@ class TestSurelyInfeasible:
     @given(st.floats(EPS_S_MIN, 1.8e302), st.floats(5e-324, 1.8e308))
     @settings(max_examples=2000, deadline=None, derandomize=True)
     def test_first_form_kept_where_it_returns(self, eps_s, x_target):
+        decided = optimizer._surely_infeasible(eps_s, x_target)
         try:
             expected = lossless_bound(eps_s, x_target)
         except (ZeroDivisionError, OverflowError):
             return
-        assert optimizer._surely_infeasible(eps_s, x_target) is expected
+        assert decided is expected
 
     # an underflowed denominator is out of reach; an overflowed square is
     # decided by its product, 4 / (x * eps_s) > 1.05 at eps_s = 1e200
@@ -311,6 +312,32 @@ class TestSurelyInfeasible:
         decisions = [optimizer._surely_infeasible(eps, 0.01) for eps in optimizer._scan_grid(1e3)]
         assert decisions == sorted(decisions, reverse=True)
         assert decisions[0] and not decisions[-1]
+
+    # the rule's claim: no slice it skips has a first-branch root.  The
+    # static eps_s leaves out dispersion, which lowers the log of the valley
+    # ratio by about 2 omega^2 (0.19 at omega = 0.3, against ln 1.05 = 0.049),
+    # and loss at large gamma*omega
+    @pytest.mark.parametrize("x_target, gamma_tilde, omega_tilde", [
+        *((x, *optimizer.WORKING_POINT) for x in (0.05, 1.0, 1e3, 1e6)),
+        (0.05, 1e-4, 1e-4),
+        *((x, 0.1, 0.1) for x in (0.004, 0.05, 1.0)),
+        (1.0, 0.3, 0.3),
+        (1.0, 0.01, 0.3),
+        *(pytest.param(*point, marks=pytest.mark.xfail(strict=True, reason=f"[prefilter]: {why}"))
+          for point, why in [
+              ((1e-3, 1.0, 0.9), "18 skipped slices reach the ratio; minimize reports infeasible"),
+              ((0.05, 0.3, 0.3), "1 skipped slice has p below p_min 0.0326266"),
+              ((1.0, 0.01, 0.45), "2 skipped slices reach the ratio, 1 below p_min"),
+              ((0.004, 0.5, 0.5), "3 skipped slices have p below p_min"),
+          ]),
+    ])
+    def test_skipped_slices_have_no_root(self, x_target, gamma_tilde, omega_tilde):
+        reached = [
+            eps for eps in optimizer._scan_grid(EPS_S_MAX)
+            if optimizer._surely_infeasible(eps, x_target)
+            and optimizer._solve_slice(eps, gamma_tilde, omega_tilde, x_target, ("first",))[0]
+        ]
+        assert reached == []
 
 
 class TestExtractAlpha:
