@@ -11,8 +11,8 @@ ratio x(phi) falls from large values to a single valley and rises again,
 so a target ratio has at most two roots ("first" below the valley,
 "second" above).  The thinner first root absorbs less, so the outer
 search scans eps_s geometrically and refines by golden section the first
-branch's best bracket.  The scan solves the second branch too, for
-MinimizeDiagnostics.rejected_branch_p and the residual check alone.
+branch's best bracket.  The scan solves the second branch too, for its
+residual check alone.
 
 One slice solve serves minimize_absorption and solve_thickness_for_ratio;
 in both, a root that misses MinimizeConfig.constraint_rtol raises
@@ -158,8 +158,7 @@ class MinimizeConfig(
 class MinimizeDiagnostics(
     namedtuple(
         "MinimizeDiagnostics",
-        "constraint_residual scan_feasible refine_iterations slab_evaluations "
-        "rejected_branch_p",
+        "constraint_residual scan_feasible refine_iterations slab_evaluations",
     )
 ):
     """Work and margins of one minimization.
@@ -168,8 +167,6 @@ class MinimizeDiagnostics(
     valley and the table's load check count none, so the count does not
     depend on what the process solved before.  refine_iterations counts
     the iterations of the first branch's golden search.
-    rejected_branch_p is the second branch's lowest scan p, unrefined;
-    NaN if it has no scan root or nothing is feasible.
     """
 
     __slots__ = ()
@@ -529,12 +526,12 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
 
     Scans eps_s from EPS_S_MIN to config.eps_s_max (skipping slices that
     cannot reach x_target even without loss), solving both branches, and
-    golden-section refines the first branch's best bracket.  The result is
-    infeasible if the first branch has no scan root or its refinement
-    finds none.  A root of either branch that misses the ratio by more
-    than config.constraint_rtol raises RuntimeError.  A feasible optimum
-    with p_min <= 0, a working point below the resolution of p, raises
-    ValueError.
+    golden-section refines the first branch's best bracket; the second
+    branch's roots are only checked.  The result is infeasible if the
+    first branch has no scan root or its refinement finds none.  A root of
+    either branch that misses the ratio by more than config.constraint_rtol
+    raises RuntimeError.  A feasible optimum with p_min <= 0, a working
+    point below the resolution of p, raises ValueError.
     """
     grid = _scan_grid(config.eps_s_max)
     x_target = config.x_target
@@ -549,19 +546,17 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
         evals += n
         return roots
 
-    # the first branch's lowest scan p and its slice index, and the second
-    # branch's lowest scan p, which only rejected_branch_p reports
+    # the first branch's lowest scan p and its slice index
     p_first, i_first = math.inf, -1
-    p_second = math.inf
     for i, eps in enumerate(grid):
         if _surely_infeasible(eps, x_target):
             continue
+        # the second branch is solved only for its residual check, which can
+        # raise; ROADMAP [one-branch] deletes it with the benchmark's probe
         roots = solve(eps, _BRANCHES)
         scan_feasible += bool(roots)
         for root in roots:
-            if root.branch == "second":
-                p_second = min(p_second, root.p)
-            elif root.p < p_first:
+            if root.branch == "first" and root.p < p_first:
                 p_first, i_first = root.p, i
 
     refine_iters = 0
@@ -602,7 +597,6 @@ def minimize_absorption(config: MinimizeConfig) -> MinimizeResult:
             scan_feasible=scan_feasible,
             refine_iterations=refine_iters,
             slab_evaluations=evals,
-            rejected_branch_p=p_second if feasible and math.isfinite(p_second) else math.nan,
         ),
     )
 

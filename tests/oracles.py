@@ -281,17 +281,18 @@ OBJECTIVE_RTOL = 1e-8
 
 def minimize_both_branches(
     config: optimizer.MinimizeConfig,
-) -> tuple[optimizer.MinimizeResult, list[tuple[str, float]]]:
+) -> tuple[optimizer.MinimizeResult, list[tuple[str, float]], float]:
     """minimize_absorption with both branches golden-refined.
 
     Scans eps_s as the package does, refines the best scan slice of each
     branch, and picks between the refined optima: the second wins only if
-    its p undercuts the first's by OBJECTIVE_RTOL.  Returns the result and
+    its p undercuts the first's by OBJECTIVE_RTOL.  Returns the result,
     (branch, lowest scan p) of each branch with a scan root, the branch
-    that wins the scan by the same rule first.  rejected_branch_p is the
-    losing branch's refined p, and refine_iterations and slab_evaluations
-    count both refinements.  The package refines the first branch alone,
-    so it matches this search wherever the first branch wins.
+    that wins the scan by the same rule first, and the losing branch's
+    refined p, NaN unless both branches have a refined optimum.
+    refine_iterations and slab_evaluations count both refinements.  The
+    package refines the first branch alone, so it matches this search
+    wherever the first branch wins.
     """
     grid = optimizer._scan_grid(config.eps_s_max)
     x_target, gamma_tilde, omega_tilde = config[:3]
@@ -362,10 +363,9 @@ def minimize_both_branches(
             scan_feasible=scan_feasible,
             refine_iterations=refine_iters,
             slab_evaluations=evals,
-            rejected_branch_p=optima[1].p if len(optima) == 2 else math.nan,
         ),
     )
-    return result, scan
+    return result, scan, optima[1].p if len(optima) == 2 else math.nan
 
 
 # --- the argparse command line -------------------------------------------------

@@ -19,7 +19,7 @@ from bsbound.optimizer import (
 from bsbound.slab import ScaledSlabParams, SlabResponse
 
 RESONANCE = Resonance(1.0, 2.0, 1e-3)
-DIAGNOSTICS = MinimizeDiagnostics(1e-12, 40, 30, 7000, 0.5)
+DIAGNOSTICS = MinimizeDiagnostics(1e-12, 40, 30, 7000)
 RESULT = MinimizeResult(0.9, 6.2, 500.0, 9e-7, 1.2, "first", True, DIAGNOSTICS)
 
 # (record, a field value its constructor rejects, or None for a plain record)
